@@ -22,6 +22,7 @@ from .harness import (
     LEARNER_NAMES,
     STRATEGIES,
     ExperimentConfig,
+    _parse_pair,
     emit_report,
     expand_grid,
     load_target,
@@ -33,16 +34,9 @@ from .mealy import DotParseError, find_counterexample
 from .sul import NOISE_KINDS, RepeatPolicy
 
 
-def _parse_pair_arg(value: str, what: str) -> tuple[str, str]:
-    if value.count(":") != 1:
-        raise ValueError(f"{what} must be written as a:b, got {value!r}")
-    left, right = value.split(":")
-    return left.strip(), right.strip()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    noise_kind, noise_rate = _parse_pair_arg(args.noise, "--noise")
-    rep_lo, rep_hi = _parse_pair_arg(args.repeats, "--repeats")
+    noise_kind, noise_rate = _parse_pair(args.noise, "--noise")
+    rep_lo, rep_hi = _parse_pair(args.repeats, "--repeats")
     cfg = ExperimentConfig(
         target=args.target,
         framework=args.framework,

@@ -82,8 +82,10 @@ class MealyMachine:
     initial: int
     transitions: tuple[tuple[int, ...], ...]
     emissions: tuple[tuple[int, ...], ...]
+    _symbols: frozenset[int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_symbols", frozenset(range(len(self.inputs))))
         n = len(self.transitions)
         if n == 0:
             raise ValueError("machine needs at least one state")
@@ -112,14 +114,23 @@ class MealyMachine:
     def run(self, word: Word, start: Optional[int] = None) -> Word:
         """Length-preserving output word for an input word (from the initial state)."""
         q = self.initial if start is None else start
-        ni = len(self.inputs)
+        # One set test for the whole word instead of an isinstance per symbol.
+        # It rejects negative ints, which would index from the end, as well
+        # as out-of-range and unhashable symbols; a float equal to a symbol
+        # passes it but cannot index a table row. All reach the handler.
         trans, emit = self.transitions, self.emissions
         out = []
-        for a in word:
-            if not isinstance(a, int) or not (0 <= a < ni):
-                raise ValueError(f"input symbol {a!r} outside the machine's alphabet")
-            out.append(emit[q][a])
-            q = trans[q][a]
+        try:
+            if not self._symbols.issuperset(word):
+                raise TypeError
+            for a in word:
+                out.append(emit[q][a])
+                q = trans[q][a]
+        except TypeError:
+            bad = [a for a in word if not isinstance(a, int) or a not in self._symbols]
+            if not bad:
+                raise  # a bad start state, not a bad symbol
+            raise ValueError(f"input symbol {bad[0]!r} outside the machine's alphabet") from None
         return tuple(out)
 
     def state_after(self, word: Word, start: Optional[int] = None) -> int:

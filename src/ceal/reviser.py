@@ -117,14 +117,16 @@ class Reviser:
             return stored
         return self.apply(self.system.probe(word, phase="mq"))
 
-    def check(self, h: MealyMachine) -> Optional[Trace]:
+    def check(self, h: MealyMachine, fp: Optional[str] = None) -> Optional[Trace]:
         """Scan the tree for a stored trace the hypothesis mislabels.
 
         Costs zero system tests. Scans are incremental: once a hypothesis
         (up to language equivalence) has been verified against the whole
-        tree, later scans cover only the parts touched since.
+        tree, later scans cover only the parts touched since. fp is h's
+        canonical fingerprint when the caller already has it.
         """
-        fp = canonical_fingerprint(h)
+        if fp is None:
+            fp = canonical_fingerprint(h)
         since = self._memo.get(fp, -1)
         found = self.tree.find_disagreement(h, since=since)
         if found is None:
@@ -142,14 +144,17 @@ class Reviser:
                 return old[0].inputs
         return sampler.draw(self.rng)
 
-    def test(self, h: MealyMachine) -> Union[Trace, _PruneSignal, None]:
+    def test(
+        self, h: MealyMachine, fp: Optional[str] = None
+    ) -> Union[Trace, _PruneSignal, None]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
         Requires a hypothesis consistent with the tree. Returns PRUNE on
         conflict, a tree-confirmed counterexample trace on disagreement, and
-        None once k_survive consecutive probes produced neither.
+        None once k_survive consecutive probes produced neither. fp is as
+        for check.
         """
-        if self.check(h) is not None:
+        if self.check(h, fp) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
         sampler = PreparedSampler(h, self.sampler_cfg)
         survived = 0
@@ -170,8 +175,8 @@ class Reviser:
         Never answers "yes": the None verdict only means the hypothesis
         survived the configured amount of testing.
         """
-        log.record(h)
-        found = self.check(h)
+        fp = log.record(h)
+        found = self.check(h, fp)
         if found is not None:
             return found
-        return self.test(h)
+        return self.test(h, fp)

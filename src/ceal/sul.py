@@ -7,6 +7,16 @@ time. Noisy replacement draws uniformly from the full alphabet, so a drawn
 symbol may equal the original; the effective flip rate per symbol is
 rate * (n - 1) / n for an alphabet of size n.
 
+The noise stream is fixed per symbol: for each symbol in order, one
+``random()`` draw, then one ``randrange(n)`` draw only when it hits. Seeded
+runs therefore depend only on which words are probed, in which order.
+
+A probe under output or no noise remembers the noise-free output of the
+last word it ran on the target, so voting the same word runs the target
+once and then only draws noise. The memo holds one entry and is dropped
+when the system's target is replaced. Input noise changes the executed
+word, so it always runs the target.
+
 majority_query is the repeated-voting wrapper a conventional teacher uses to
 answer membership queries over a noisy system.
 """
@@ -14,7 +24,6 @@ answer membership queries over a noisy system.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,11 +58,12 @@ class NoiseModel:
         """Each symbol independently replaced by a uniform draw with prob rate."""
         if self.kind == "none" or self.rate == 0.0:
             return word
-        rng = self.rng
-        return tuple(
-            rng.randrange(alphabet_size) if rng.random() < self.rate else s
-            for s in word
-        )
+        draw, replace, rate = self.rng.random, self.rng.randrange, self.rate
+        out = list(word)
+        for i in range(len(out)):
+            if draw() < rate:
+                out[i] = replace(alphabet_size)
+        return tuple(out)
 
 
 @dataclass
@@ -106,6 +116,17 @@ class SimulatedSystem:
         self.meter = meter if meter is not None else TestMeter()
         self.max_tests = max_tests
 
+    @property
+    def target(self) -> MealyMachine:
+        return self._target
+
+    @target.setter
+    def target(self, machine: MealyMachine) -> None:
+        self._target = machine
+        # the last word run noise-free on this target, and its outputs
+        self._memo_word: Optional[Word] = None
+        self._memo_outputs: Word = ()
+
     def probe(self, word: Word, phase: str = "mq") -> Trace:
         """One reset + one word on the system; returns the trace as observed.
 
@@ -115,15 +136,19 @@ class SimulatedSystem:
         if self.max_tests is not None and self.meter.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
+        target = self._target
         if noise.kind == "input":
-            executed = noise.perturb(word, len(self.target.inputs))
-            outputs = self.target.run(executed)
-        elif noise.kind == "output":
-            executed = word
-            outputs = noise.perturb(self.target.run(word), len(self.target.outputs))
+            executed = noise.perturb(word, len(target.inputs))
+            outputs = target.run(executed)
         else:
             executed = word
-            outputs = self.target.run(word)
+            if word == self._memo_word:
+                outputs = self._memo_outputs
+            else:
+                outputs = target.run(word)
+                self._memo_word, self._memo_outputs = word, outputs
+            if noise.kind == "output":
+                outputs = noise.perturb(outputs, len(target.outputs))
         self.meter.charge(len(executed), phase)
         return Trace(executed, outputs)
 
@@ -140,17 +165,29 @@ def majority_query(
     all votes so far (checked from min_repeats on); at max_repeats the
     plurality wins, ties going to the lexicographically least output word.
     """
-    votes: Counter[Word] = Counter()
-    for _ in range(policy.min_repeats):
-        votes[system.probe(word, phase).outputs] += 1
+    probe = system.probe
+    first = probe(word, phase).outputs
+    agreed = 1
+    while agreed < policy.min_repeats:
+        out = probe(word, phase).outputs
+        if out != first:
+            break
+        agreed += 1
+    else:
+        return first  # unanimous: a share of 1 meets any threshold
+    votes = {first: agreed, out: 1}
+    total, best_n = agreed + 1, agreed
     while True:
-        total = sum(votes.values())
-        best_n = max(votes.values())
-        winners = [w for w, n in votes.items() if n == best_n]
-        # float-robust "best_n / total >= threshold"; the threshold exceeds
-        # one half, so a word meeting it is unique
-        if best_n >= policy.threshold * total - 1e-9:
-            return winners[0]
-        if total >= policy.max_repeats:
-            return min(winners)
-        votes[system.probe(word, phase).outputs] += 1
+        if total >= policy.min_repeats:
+            # float-robust "best_n / total >= threshold"; the threshold
+            # exceeds one half, so up to that slack a word meeting it is
+            # unique, and otherwise the first-seen leader wins
+            if best_n >= policy.threshold * total - 1e-9:
+                return next(w for w, n in votes.items() if n == best_n)
+            if total >= policy.max_repeats:
+                return min(w for w, n in votes.items() if n == best_n)
+        out = probe(word, phase).outputs
+        n = votes[out] = votes.get(out, 0) + 1
+        if n > best_n:
+            best_n = n
+        total += 1

@@ -26,11 +26,12 @@ def test_run_toggle(toggle):
     assert toggle.run(()) == ()
 
 
-def test_run_rejects_unknown_symbol(toggle):
-    with pytest.raises(ValueError):
-        toggle.run((5,))
-    with pytest.raises(ValueError):
-        toggle.run((-1,))
+def test_run_rejects_unknown_symbol():
+    # two inputs, so -len(inputs) = -2 would index a table row if let through
+    m = MealyMachine(Alphabet(("a", "b")), Alphabet(("x",)), 0, ((0, 0),), ((0, 0),))
+    for word in [(2,), (-1,), (-2,), ("a",), (0.0,), (None,), ([0],), (0, 5), (0, -1), (1, "a")]:
+        with pytest.raises(ValueError, match="outside the machine's alphabet"):
+            m.run(word)
 
 
 def test_trace_prefixes():

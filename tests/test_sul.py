@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ceal.mealy import Alphabet, MealyMachine, Trace
+from ceal.mealy import Alphabet, MealyMachine, Trace, random_machine
 from ceal.sul import (
     BudgetExhausted,
     NoiseModel,
@@ -14,6 +14,7 @@ from ceal.sul import (
     SimulatedSystem,
     majority_query,
 )
+from oracles import ReferenceSystem, reference_majority_query
 
 
 def quiet(kind: str = "none", rate: float = 0.0, seed: int = 0) -> NoiseModel:
@@ -154,3 +155,73 @@ def test_majority_votes_spend_the_budget(toggle):
     with pytest.raises(BudgetExhausted):
         majority_query(sys, (0, 0), RepeatPolicy(5, 10))
     assert sys.meter.tests == 7
+
+
+def test_probe_memo_does_not_outlive_its_target(toggle, constant_x):
+    sys = SimulatedSystem(toggle, quiet())
+    assert sys.probe((0, 0)).outputs == (0, 1)
+    sys.target = constant_x
+    assert sys.probe((0, 0)).outputs == (0, 0)
+
+
+def _vote_words(rng: random.Random, n_inputs: int) -> list:
+    """Seeded words in runs of repeats and alternations, so the memo hits and misses."""
+    pool = [()] + [
+        tuple(rng.randrange(n_inputs) for _ in range(rng.randint(1, 8))) for _ in range(6)
+    ]
+    words = []
+    while len(words) < 120:
+        u, v = rng.choice(pool), rng.choice(pool)
+        words += rng.choice([[u] * rng.randint(1, 4), [u, v] * rng.randint(1, 3)])
+    return words
+
+
+def _mid_vote_budget(target, kind, rate, policy, words) -> int:
+    """A budget that runs out on the second probe of a vote past the 30th word."""
+    dry = ReferenceSystem(target, NoiseModel.from_seed(kind, rate, 3))
+    for k, word in enumerate(words):
+        before = dry.meter.tests
+        reference_majority_query(dry, word, policy)
+        if k >= 30 and (dry.meter.tests - before > 1 or policy.max_repeats == 1):
+            return before + 1
+    raise AssertionError("no vote past the 30th word took two probes")
+
+
+@pytest.mark.parametrize("kind, rate", [("none", 0.0), ("input", 0.2), ("output", 0.2), ("output", 0.05)])
+@pytest.mark.parametrize("repeats", [(1, 1), (3, 5), (5, 10)])
+def test_vote_path_matches_reference_draw_for_draw(kind, rate, repeats):
+    inputs, outputs = Alphabet(("a", "b", "c")), Alphabet(("x", "y", "z"))
+    target = random_machine(5, inputs, outputs, seed=11)
+    policy = RepeatPolicy(*repeats)
+    words = _vote_words(random.Random(7), len(inputs))
+    budget = _mid_vote_budget(target, kind, rate, policy, words)
+    ref = ReferenceSystem(target, NoiseModel.from_seed(kind, rate, 3), max_tests=budget)
+    new = SimulatedSystem(target, NoiseModel.from_seed(kind, rate, 3), max_tests=budget)
+    probe_calls = [0]
+    real_probe = new.probe
+
+    def counted_probe(word, phase="mq"):
+        probe_calls[0] += 1
+        return real_probe(word, phase)
+
+    new.probe = counted_probe
+    for k, word in enumerate(words):
+        phase = "eq" if k % 3 == 0 else "mq"
+        tests_before = new.meter.tests
+        results = []
+        for system, vote in ((ref, reference_majority_query), (new, majority_query)):
+            try:
+                results.append(vote(system, word, policy, phase))
+            except BudgetExhausted:
+                results.append(BudgetExhausted)
+        assert results[0] == results[1]
+        assert ref.meter == new.meter
+        assert ref.noise.rng.getstate() == new.noise.rng.getstate()
+        if results[1] is BudgetExhausted:
+            break
+        assert probe_calls[0] == new.meter.tests
+    else:
+        pytest.fail("the budget never ran out")
+    # the refused probe raised before it was charged, after part of a vote
+    assert new.meter.tests == budget and probe_calls[0] == budget + 1
+    assert policy.max_repeats == 1 or tests_before < budget
