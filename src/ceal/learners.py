@@ -11,6 +11,17 @@ answering layer guarantees them stable between restarts.
 Both learners produce complete Mealy machines and grow them monotonically:
 refine(cex) adds at least one distinguishing experiment, so the next
 hypothesis either has more states or corrects the counterexample.
+
+A rebuild repeats no work done earlier in the same life. L* caches each
+word's row and closes the table in one forward scan over S; KV remembers
+where each word's last sift ended and resumes there. Both caches are exact
+because within a life the memo never changes, E only grows by appending,
+and the classification tree only gains nodes (a split replaces a leaf in
+place by an inner node that keeps it as a child). A cached row therefore
+lacks only the columns appended since it was computed, and the path above
+a sift's end point is the one a sift from the root would walk again, on
+memo hits alone. The teacher sees the same calls in the same order as
+without the caches. restart() drops them with the memo.
 """
 
 from __future__ import annotations
@@ -87,33 +98,40 @@ class LStarLearner(Learner):
     def _reset(self) -> None:
         self.S = [()]
         self.E = [(a,) for a in range(len(self.inputs))]
+        self._rows: dict[Word, tuple[Word, ...]] = {}
 
     def _row(self, s: Word) -> tuple[Word, ...]:
-        return tuple(self._ask(s + e)[len(s):] for e in self.E)
+        """The row of s over E, cached per life and extended as E grows."""
+        row = self._rows.get(s, ())
+        if len(row) < len(self.E):
+            n = len(s)
+            row += tuple(self._ask(s + e)[n:] for e in self.E[len(row):])
+            self._rows[s] = row
+        return row
 
     def build_hypothesis(self) -> MealyMachine:
-        while True:  # close: every one-letter extension row must match an S row
-            known = {self._row(s) for s in self.S}
-            missing = None
-            for s in self.S:
-                for a in range(len(self.inputs)):
-                    if self._row(s + (a,)) not in known:
-                        missing = s + (a,)
-                        break
-                if missing is not None:
-                    break
-            if missing is None:
-                break
-            self.S.append(missing)
-        row_index = {self._row(s): i for i, s in enumerate(self.S)}
+        S = self.S
+        ni = len(self.inputs)
+        index = {self._row(s): i for i, s in enumerate(S)}
         transitions = []
         emissions = []
-        for s in self.S:
-            r = self._row(s)
-            transitions.append(tuple(
-                row_index[self._row(s + (a,))] for a in range(len(self.inputs))
-            ))
-            emissions.append(tuple(r[a][0] for a in range(len(self.inputs))))
+        # close in one scan: an extension whose row matches no S row joins
+        # S at the end, so the scan reaches it later
+        i = 0
+        while i < len(S):
+            s = S[i]
+            trow = []
+            for a in range(ni):
+                w = s + (a,)
+                r = self._row(w)
+                j = index.get(r)
+                if j is None:
+                    j = index[r] = len(S)
+                    S.append(w)
+                trow.append(j)
+            transitions.append(tuple(trow))
+            emissions.append(tuple(col[0] for col in self._row(s)[:ni]))
+            i += 1
         m = MealyMachine(self.inputs, self.outputs, 0, tuple(transitions), tuple(emissions))
         self._hyp = m
         self._access = list(self.S)
@@ -187,23 +205,30 @@ class KVLearner(Learner):
     def _reset(self) -> None:
         self.root = _Leaf((), None)
         self._sift_created = False
+        # word -> (parent, edge key) of the leaf its last sift ended at;
+        # parent None stands for the root
+        self._ends: dict[Word, tuple[Optional[_Inner], Word]] = {}
 
     def _tail(self, word: Word, suffix: Word) -> Word:
         return self._ask(word + suffix)[len(word):]
 
     def sift(self, word: Word) -> _Leaf:
-        """Classify a word to a leaf, materializing one if its answers are new."""
+        """Classify a word to a leaf, materializing one if its answers are new.
+
+        Resumes from the node now at the word's last end point, which is
+        that leaf or the inner node a split put in its place.
+        """
         self._sift_created = False
-        node = self.root
+        parent, key = self._ends.get(word, (None, ()))
+        node = self.root if parent is None else parent.children[key]
         while isinstance(node, _Inner):
             t = self._tail(word, node.label)
             child = node.children.get(t)
             if child is None:
-                leaf = _Leaf(word, node)
-                node.children[t] = leaf
+                child = node.children[t] = _Leaf(word, node)
                 self._sift_created = True
-                return leaf
-            node = child
+            parent, key, node = node, t, child
+        self._ends[word] = (parent, key)
         return node
 
     def build_hypothesis(self) -> MealyMachine:

@@ -109,11 +109,13 @@ class MealyMachine:
 
     def step(self, state: int, symbol: int) -> tuple[int, int]:
         """One transition: (successor, output symbol)."""
+        self._check_state(state)
+        self._check_word((symbol,))
         return self.transitions[state][symbol], self.emissions[state][symbol]
 
     def run(self, word: Word, start: Optional[int] = None) -> Word:
         """Length-preserving output word for an input word (from the initial state)."""
-        q = self.initial if start is None else start
+        q = self.initial if start is None else self._check_state(start)
         # One set test for the whole word instead of an isinstance per symbol.
         # It rejects negative ints, which would index from the end, as well
         # as out-of-range and unhashable symbols; a float equal to a symbol
@@ -127,17 +129,28 @@ class MealyMachine:
                 out.append(emit[q][a])
                 q = trans[q][a]
         except TypeError:
-            bad = [a for a in word if not isinstance(a, int) or a not in self._symbols]
-            if not bad:
-                raise  # a bad start state, not a bad symbol
-            raise ValueError(f"input symbol {bad[0]!r} outside the machine's alphabet") from None
+            self._check_word(word)
+            raise
         return tuple(out)
 
     def state_after(self, word: Word, start: Optional[int] = None) -> int:
-        q = self.initial if start is None else start
+        """State reached by reading the word (from the initial state)."""
+        q = self.initial if start is None else self._check_state(start)
+        self._check_word(word)
         for a in word:
             q = self.transitions[q][a]
         return q
+
+    def _check_state(self, state: int) -> int:
+        # a negative state would index a table row from the end
+        if not isinstance(state, int) or not 0 <= state < len(self.transitions):
+            raise ValueError(f"state {state!r} outside the machine's states")
+        return state
+
+    def _check_word(self, word: Word) -> None:
+        for a in word:
+            if not isinstance(a, int) or a not in self._symbols:
+                raise ValueError(f"input symbol {a!r} outside the machine's alphabet") from None
 
 
 def _reachable_order(m: MealyMachine) -> list[int]:

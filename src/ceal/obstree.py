@@ -20,7 +20,7 @@ scan can skip subtrees untouched since an earlier scan; see find_disagreement.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .mealy import MealyMachine, Trace, Word
 
@@ -107,17 +107,6 @@ class MostRecentTree:
             for a, (child, o) in node.edges.items():
                 stack.append((child, ins + (a,), outs + (o,)))
         return result
-
-    def maximal_traces(self) -> Iterator[Trace]:
-        """Traces ending at leaves; their prefixes are the whole language."""
-        stack: list[tuple[_RNode, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            if not node.edges:
-                yield Trace(ins, outs)
-                continue
-            for a, (child, o) in node.edges.items():
-                stack.append((child, ins + (a,), outs + (o,)))
 
     def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
         """Maximal trace whose leaf has the smallest creation id above after_uid."""
@@ -277,19 +266,6 @@ class MostFrequentTree:
                 if entry is not None:
                     stack.append((entry[0], ins + (a,), outs + (entry[1],)))
         return result
-
-    def maximal_traces(self) -> Iterator[Trace]:
-        stack: list[tuple[_FNode, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            grew = False
-            for a in node.edges:
-                entry = self.next_entry(node, a)
-                if entry is not None:
-                    grew = True
-                    stack.append((entry[0], ins + (a,), outs + (entry[1],)))
-            if not grew:
-                yield Trace(ins, outs)
 
     def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
         best: Optional[tuple[Trace, int]] = None

@@ -1,18 +1,21 @@
-"""Reference evaluators for the observation-tree semantics and the vote path.
+"""Reference evaluators for the observation trees, the vote path and the learners.
 
 The tree references rebuild the expected stored language directly from an
 observation stream, without any incremental bookkeeping, so the tree
 implementations can be checked against them wholesale. The vote-path
 references are the straightforward probe, noise and voting code that the
-optimized ``ceal.sul`` must match draw for draw.
+optimized ``ceal.sul`` must match draw for draw. The learner references
+recompute every row and sift from scratch; ``ceal.learners`` must make the
+same teacher calls in the same order and reach the same tables.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Optional
+from typing import Optional, Union
 
+from ceal.learners import InconsistentTeacher, Learner
 from ceal.mealy import MealyMachine, Trace, Word, prefixes
 from ceal.obstree import conflicts
 from ceal.sul import BudgetExhausted, NoiseModel, RepeatPolicy, TestMeter
@@ -140,3 +143,211 @@ def reference_majority_query(
         if total >= policy.max_repeats:
             return min(winners)
         votes[system.probe(word, phase).outputs] += 1
+
+
+class ReferenceLStarLearner(Learner):
+    """L* that recomputes every row and rescans S from the start.
+
+    Each closing step rebuilds the whole table from the memo; no row is
+    cached and the scan restarts at S[0] after every new access word.
+    """
+
+    S: list[Word]
+    E: list[Word]
+
+    def _reset(self) -> None:
+        self.S = [()]
+        self.E = [(a,) for a in range(len(self.inputs))]
+
+    def _row(self, s: Word) -> tuple[Word, ...]:
+        return tuple(self._ask(s + e)[len(s):] for e in self.E)
+
+    def build_hypothesis(self) -> MealyMachine:
+        while True:  # close: every one-letter extension row must match an S row
+            known = {self._row(s) for s in self.S}
+            missing = None
+            for s in self.S:
+                for a in range(len(self.inputs)):
+                    if self._row(s + (a,)) not in known:
+                        missing = s + (a,)
+                        break
+                if missing is not None:
+                    break
+            if missing is None:
+                break
+            self.S.append(missing)
+        row_index = {self._row(s): i for i, s in enumerate(self.S)}
+        transitions = []
+        emissions = []
+        for s in self.S:
+            r = self._row(s)
+            transitions.append(tuple(
+                row_index[self._row(s + (a,))] for a in range(len(self.inputs))
+            ))
+            emissions.append(tuple(r[a][0] for a in range(len(self.inputs))))
+        m = MealyMachine(self.inputs, self.outputs, 0, tuple(transitions), tuple(emissions))
+        self._hyp = m
+        self._access = list(self.S)
+        return m
+
+    def refine(self, cex: Trace) -> None:
+        """Extract one distinguishing suffix by binary search over the cex.
+
+        Uses O(log |cex|) teacher queries: the endpoints need none (position
+        0 is the counterexample itself, position n trivially agrees).
+        """
+        h = self._hyp
+        if h is None:
+            raise RuntimeError("refine called before any hypothesis was built")
+        u = cex.inputs
+        n = len(u)
+        if n == 0 or h.run(u) == cex.outputs:
+            raise RuntimeError("refine called with a non-counterexample")
+        state_after = [h.initial]
+        for a in u:
+            state_after.append(h.transitions[state_after[-1]][a])
+
+        def disagrees(k: int) -> bool:
+            s_k = self._access[state_after[k]]
+            actual = self._ask(s_k + u[k:])[len(s_k):]
+            predicted = h.run(u[k:], start=state_after[k])
+            return actual != predicted
+
+        if not disagrees(0):
+            raise InconsistentTeacher("teacher answers no longer refute the hypothesis")
+        lo, hi = 0, n  # position n holds trivially: both tails are empty
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if disagrees(mid):
+                lo = mid
+            else:
+                hi = mid
+        suffix = u[lo + 1:]
+        if not suffix or suffix in self.E:
+            raise InconsistentTeacher("refinement produced no new distinguishing suffix")
+        self.E.append(suffix)
+
+
+class _Leaf:
+    __slots__ = ("access", "parent")
+
+    def __init__(self, access: Word, parent: Optional["_Inner"]) -> None:
+        self.access = access
+        self.parent = parent
+
+
+class _Inner:
+    __slots__ = ("label", "children", "parent")
+
+    def __init__(self, label: Word, parent: Optional["_Inner"]) -> None:
+        self.label = label
+        self.children: dict[Word, Union[_Leaf, "_Inner"]] = {}
+        self.parent = parent
+
+
+class ReferenceKVLearner(Learner):
+    """KV that sifts every word from the root on every call."""
+
+    root: Union[_Leaf, _Inner]
+
+    def _reset(self) -> None:
+        self.root = _Leaf((), None)
+        self._sift_created = False
+
+    def _tail(self, word: Word, suffix: Word) -> Word:
+        return self._ask(word + suffix)[len(word):]
+
+    def sift(self, word: Word) -> _Leaf:
+        """Classify a word to a leaf, materializing one if its answers are new."""
+        self._sift_created = False
+        node = self.root
+        while isinstance(node, _Inner):
+            t = self._tail(word, node.label)
+            child = node.children.get(t)
+            if child is None:
+                leaf = _Leaf(word, node)
+                node.children[t] = leaf
+                self._sift_created = True
+                return leaf
+            node = child
+        return node
+
+    def build_hypothesis(self) -> MealyMachine:
+        init = self.sift(())
+        order: list[_Leaf] = [init]
+        index: dict[int, int] = {id(init): 0}
+        transitions: list[tuple[int, ...]] = []
+        emissions: list[tuple[int, ...]] = []
+        i = 0
+        while i < len(order):
+            leaf = order[i]
+            i += 1
+            trow = []
+            erow = []
+            for a in range(len(self.inputs)):
+                w = leaf.access + (a,)
+                erow.append(self._ask(w)[-1])
+                succ = self.sift(w)
+                if id(succ) not in index:
+                    index[id(succ)] = len(order)
+                    order.append(succ)
+                trow.append(index[id(succ)])
+            transitions.append(tuple(trow))
+            emissions.append(tuple(erow))
+        m = MealyMachine(self.inputs, self.outputs, 0, tuple(transitions), tuple(emissions))
+        self._hyp = m
+        self._leaves = order
+        return m
+
+    def _split(self, leaf: _Leaf, suffix: Word, new_access: Word) -> None:
+        t_old = self._tail(leaf.access, suffix)
+        t_new = self._tail(new_access, suffix)
+        if t_old == t_new:
+            raise InconsistentTeacher("split suffix fails to distinguish the two words")
+        inner = _Inner(suffix, leaf.parent)
+        if leaf.parent is None:
+            self.root = inner
+        else:
+            for key, child in leaf.parent.children.items():
+                if child is leaf:
+                    leaf.parent.children[key] = inner
+                    break
+        inner.children[t_old] = leaf
+        inner.children[t_new] = _Leaf(new_access, inner)
+        leaf.parent = inner
+
+    def refine(self, cex: Trace) -> None:
+        """Split the first leaf whose classification the counterexample breaks."""
+        h = self._hyp
+        if h is None:
+            raise RuntimeError("refine called before any hypothesis was built")
+        u = cex.inputs
+        predicted = h.run(u)
+        mismatches = [k for k in range(len(u)) if predicted[k] != cex.outputs[k]]
+        if not mismatches:
+            raise RuntimeError("refine called with a non-counterexample")
+        m = mismatches[0]
+        state_after = [h.initial]
+        for a in u:
+            state_after.append(h.transitions[state_after[-1]][a])
+        for j in range(1, m + 1):
+            hyp_leaf = self._leaves[state_after[j]]
+            real_leaf = self.sift(u[:j])
+            if self._sift_created:
+                return  # the sift itself discovered a new state
+            if real_leaf is not hyp_leaf:
+                prev = self._leaves[state_after[j - 1]]
+                a = u[j - 1]
+                w1, w2 = u[:j], prev.access + (a,)
+                node = self.root
+                while isinstance(node, _Inner):
+                    t1 = self._tail(w1, node.label)
+                    t2 = self._tail(w2, node.label)
+                    if t1 != t2:
+                        self._split(prev, (a,) + node.label, u[:j - 1])
+                        return
+                    node = node.children[t1]
+                raise InconsistentTeacher("diverging sifts share every distinguisher")
+        # every prefix classifies as the hypothesis says; the mismatch symbol
+        # itself then separates the reached state's access word from u[:m]
+        self._split(self._leaves[state_after[m]], (u[m],), u[:m])

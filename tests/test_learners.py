@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import traceback
 
 import pytest
 
 from ceal.eqtest import SamplerConfig
-from ceal.learners import KVLearner, LStarLearner, PruneRequested
+from ceal.learners import InconsistentTeacher, KVLearner, LStarLearner, PruneRequested
 from ceal.mealy import (
     Alphabet,
     MealyMachine,
@@ -21,6 +22,7 @@ from ceal.mealy import (
 from ceal.obstree import MostRecentTree
 from ceal.reviser import PRUNE, HypothesisLog, Reviser
 from ceal.sul import NoiseModel, SimulatedSystem
+from oracles import ReferenceKVLearner, ReferenceLStarLearner
 
 LEARNERS = [LStarLearner, KVLearner]
 
@@ -221,3 +223,91 @@ def test_restarted_learner_rebuilds_from_tree_for_free(learner_cls):
     # the fresh build re-asks exactly its old queries; the tree held them all
     assert system.meter.tests == spent
     assert canonical_fingerprint(rebuilt) == first_fp
+
+
+def _seeded_teacher(target, seed, lie_rate, prunes):
+    """A teacher that logs every call, lies stably and raises up to `prunes` prunes.
+
+    A lie replaces an output symbol at random and is kept for the word for
+    good, so restarts do not heal it. Prunes fire at random calls.
+    """
+    rng = random.Random(seed)
+    calls: list = []
+    told: dict = {}
+
+    def teacher(word):
+        nonlocal prunes
+        calls.append(word)
+        if prunes and rng.random() < 0.02:
+            prunes -= 1
+            raise PruneRequested()
+        out = told.get(word)
+        if out is None:
+            out = tuple(rng.randrange(len(target.outputs)) if rng.random() < lie_rate else o
+                        for o in target.run(word))
+            told[word] = out
+        return out
+
+    return teacher, calls
+
+
+def _shape(node):
+    if hasattr(node, "label"):
+        return node.label, tuple((k, _shape(c)) for k, c in node.children.items())
+    return node.access
+
+
+def _table(learner):
+    if hasattr(learner, "S"):
+        return list(learner.S), list(learner.E)
+    return _shape(learner.root)
+
+
+def _drive(learner_cls, target, seed, lie_rate, prunes, rounds=25):
+    """Learn with perfect equivalence checks; log calls, tables and raise points."""
+    teacher, calls = _seeded_teacher(target, seed, lie_rate, prunes)
+    learner = learner_cls(target.inputs, target.outputs, teacher)
+    events: list = []
+    pruned_in: set = set()
+    for _ in range(rounds):
+        try:
+            h = learner.build_hypothesis()
+            events.append(("hypothesis", len(calls), h, _table(learner)))
+            cex = find_counterexample(target, h)
+            if cex is None:
+                break
+            learner.refine(cex)
+            events.append(("refined", len(calls), _table(learner)))
+        except PruneRequested as exc:
+            events.append(("prune", len(calls)))
+            pruned_in.update(f.name for f in traceback.extract_tb(exc.__traceback__))
+            learner.restart()
+        except InconsistentTeacher as exc:
+            events.append(("inconsistent", len(calls), str(exc)))
+            break
+    return calls, events, pruned_in
+
+
+@pytest.mark.parametrize("learner_cls,reference_cls", [
+    (LStarLearner, ReferenceLStarLearner),
+    (KVLearner, ReferenceKVLearner),
+])
+@pytest.mark.parametrize("teacher_kind", ["honest", "lying", "pruning"])
+def test_learner_matches_reference_call_for_call(learner_cls, reference_cls, teacher_kind):
+    """The per-life caches change no teacher call, table, hypothesis or raise."""
+    lie_rate, prunes = {"honest": (0.0, 0), "lying": (0.05, 0), "pruning": (0.0, 6)}[teacher_kind]
+    raised = 0
+    pruned_in: set = set()
+    for seed in range(16):
+        target = random_machine(3 + seed % 6, Alphabet(("a", "b", "c")[: 2 + seed % 2]),
+                                Alphabet(("0", "1")), seed)
+        want = _drive(reference_cls, target, seed, lie_rate, prunes)
+        got = _drive(learner_cls, target, seed, lie_rate, prunes)
+        assert got[0] == want[0]  # teacher calls, in order
+        assert got[1] == want[1]  # hypotheses, tables and raise points
+        raised += sum(e[0] == "inconsistent" for e in got[1])
+        pruned_in |= got[2]
+    if teacher_kind == "lying":
+        assert raised  # the lies reached InconsistentTeacher somewhere
+    if teacher_kind == "pruning":  # unwound mid-closing (L*) and mid-sift (KV)
+        assert ("sift" if learner_cls is KVLearner else "build_hypothesis") in pruned_in

@@ -34,6 +34,28 @@ def test_run_rejects_unknown_symbol():
             m.run(word)
 
 
+def test_states_and_symbols_are_range_checked_everywhere():
+    # two states and two inputs: -1 and n_states would index a table row if let through
+    m = MealyMachine(Alphabet(("a", "b")), Alphabet(("x", "y")), 0, ((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    for state in (-1, m.n_states, 1.0):
+        with pytest.raises(ValueError, match="outside the machine's states"):
+            m.run((0,), start=state)
+        with pytest.raises(ValueError, match="outside the machine's states"):
+            m.state_after((0,), start=state)
+        with pytest.raises(ValueError, match="outside the machine's states"):
+            m.step(state, 0)
+    for word in [(-1,), (2,), (0, -1), (1, 2), (0, "a")]:
+        with pytest.raises(ValueError, match="outside the machine's alphabet"):
+            m.state_after(word)
+        with pytest.raises(ValueError, match="outside the machine's alphabet"):
+            m.run(word, start=1)
+    for symbol in (-1, 2):
+        with pytest.raises(ValueError, match="outside the machine's alphabet"):
+            m.step(0, symbol)
+    assert m.state_after((0, 1)) == 1 and m.step(1, 0) == (0, 1)
+    assert m.run((0, 1), start=1) == (1, 1)
+
+
 def test_trace_prefixes():
     t = Trace((0, 1), (1, 0))
     assert list(prefixes(t)) == [Trace((), ()), Trace((0,), (1,)), Trace((0, 1), (1, 0))]

@@ -140,21 +140,6 @@ def test_frequent_tree_matches_replay_oracle(seed):
         prev = lang
 
 
-@pytest.mark.parametrize("tree_cls", [MostRecentTree, MostFrequentTree])
-def test_maximal_traces_have_no_stored_extension(tree_cls):
-    rng = random.Random(7)
-    t = tree_cls()
-    for obs in _random_stream(rng, 30):
-        t.update(obs)
-    lang = t.language()
-    maximal = set(t.maximal_traces())
-    assert maximal <= lang
-    for u in lang:
-        extended = any(len(v) == len(u) + 1 and v.inputs[: len(u)] == u.inputs
-                       and v.outputs[: len(u)] == u.outputs for v in lang)
-        assert (u in maximal) == (not extended)
-
-
 def test_oldest_maximal_trace_walks_creation_order():
     t = MostRecentTree()
     t.update(tr("00", "00"))
