@@ -148,7 +148,8 @@ class _VotingSystem:
 
     Each requested word is re-run per the repeat policy and the agreed
     output word is returned as a single trace, so the layer above sees a
-    denoised system. Used for experiment runs in both frameworks; budget
+    denoised system. Used by run_ceal, whose reviser sees only voted
+    traces (run_mat votes inside its own query functions); budget
     accounting stays on the wrapped system's meter.
     """
 

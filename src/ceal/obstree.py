@@ -6,8 +6,14 @@ expose a deterministic lookup language:
 * MostRecentTree keeps exactly one branch per (node, input); a contradicting
   observation replaces the old subtree, so the latest version of events wins.
 * MostFrequentTree keeps every branch with an observation count per node; the
-  lookup follows, per (node, input), the entry with the strictly greatest
-  count, ties resolved toward the most recently observed entry.
+  lookup follows, per (node, input), the entry with the greatest count, ties
+  resolved toward the most recently observed entry.
+
+In both trees every node maps each input symbol to its selected
+(child, output) in `edges`, so lookup, language and the traversals read the
+same structure and the two classes differ only in how `update` keeps it
+current. MostFrequentTree parks the entries that lost the selection in a
+separate, lazily created store next to `edges`.
 
 `update` reports whether the observation changed the stored language
 non-additively (some previously-answered word now answers differently or not
@@ -20,7 +26,7 @@ scan can skip subtrees untouched since an earlier scan; see find_disagreement.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from .mealy import MealyMachine, Trace, Word
 
@@ -44,13 +50,31 @@ class _RNode:
         self.stamp = stamp
 
 
-class MostRecentTree:
-    """Deterministic observation tree; contradictions prune the old branch."""
+class _FNode:
+    __slots__ = ("uid", "edges", "stamp", "weight", "visible", "others")
 
-    def __init__(self) -> None:
+    def __init__(self, uid: int, stamp: int) -> None:
+        self.uid = uid
+        # per input symbol: the selected (child, output)
+        self.edges: dict[int, tuple[_FNode, int]] = {}
+        self.stamp = stamp
+        self.weight = 1
+        self.visible = stamp
+        # (input, output) -> child, for every entry not selected; None until
+        # some input sees a second output here
+        self.others: Optional[dict[tuple[int, int], _FNode]] = None
+
+
+_Node = Union[_RNode, _FNode]
+
+
+class _SelectedEdges:
+    """Traversals of the selected language, shared by both trees."""
+
+    def __init__(self, node_cls: type) -> None:
         self.version = 0
         self._uids = 0
-        self.root = _RNode(self._next_uid(), 0)
+        self.root = node_cls(self._next_uid(), 0)
         self.n_nodes = 1
 
     def _next_uid(self) -> int:
@@ -68,6 +92,42 @@ class MostRecentTree:
             node, o = edge[0], edge[1]
             out.append(o)
         return tuple(out)
+
+    def language(self) -> set[Trace]:
+        """Every selected trace, including (ε, ε); prefix-closed and functional."""
+        result: set[Trace] = set()
+        stack: list[tuple[_Node, Word, Word]] = [(self.root, (), ())]
+        while stack:
+            node, ins, outs = stack.pop()
+            result.add(Trace(ins, outs))
+            for a, (child, o) in node.edges.items():
+                stack.append((child, ins + (a,), outs + (o,)))
+        return result
+
+    def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
+        """Maximal selected trace whose leaf has the smallest creation id above after_uid."""
+        best: Optional[tuple[Trace, int]] = None
+        stack: list[tuple[_Node, Word, Word]] = [(self.root, (), ())]
+        while stack:
+            node, ins, outs = stack.pop()
+            if not node.edges:
+                if node.uid > after_uid and (best is None or node.uid < best[1]):
+                    best = (Trace(ins, outs), node.uid)
+                continue
+            for a, (child, o) in node.edges.items():
+                stack.append((child, ins + (a,), outs + (o,)))
+        return best
+
+
+class MostRecentTree(_SelectedEdges):
+    """Deterministic observation tree; contradictions prune the old branch."""
+
+    def __init__(self) -> None:
+        super().__init__(_RNode)
+
+    # Bound in each class's own namespace, so that instrumentation can wrap
+    # one tree's lookup without touching the other's.
+    lookup = _SelectedEdges.lookup
 
     def update(self, trace: Trace) -> bool:
         """Store one observation; True iff the stored language shrank somewhere.
@@ -96,31 +156,6 @@ class MostRecentTree:
                 node = child
             node.stamp = version
         return conflicted
-
-    def language(self) -> set[Trace]:
-        """Every stored trace, including (ε, ε); prefix-closed and functional."""
-        result: set[Trace] = set()
-        stack: list[tuple[_RNode, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            result.add(Trace(ins, outs))
-            for a, (child, o) in node.edges.items():
-                stack.append((child, ins + (a,), outs + (o,)))
-        return result
-
-    def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
-        """Maximal trace whose leaf has the smallest creation id above after_uid."""
-        best: Optional[tuple[Trace, int]] = None
-        stack: list[tuple[_RNode, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            if not node.edges:
-                if node.uid > after_uid and (best is None or node.uid < best[1]):
-                    best = (Trace(ins, outs), node.uid)
-                continue
-            for a, (child, o) in node.edges.items():
-                stack.append((child, ins + (a,), outs + (o,)))
-        return best
 
     def find_disagreement(self, machine: MealyMachine, since: int = -1) -> Optional[Trace]:
         """Some stored trace the machine answers differently, or None.
@@ -151,60 +186,24 @@ def _subtree_size(node: _RNode) -> int:
     return total
 
 
-class _FNode:
-    __slots__ = ("uid", "weight", "edges", "stamp", "visible")
-
-    def __init__(self, uid: int, stamp: int) -> None:
-        self.uid = uid
-        self.weight = 1
-        # per input symbol: list of (child, output), most recently observed first
-        self.edges: dict[int, list[tuple[_FNode, int]]] = {}
-        self.stamp = stamp
-        self.visible = stamp
-
-
-class MostFrequentTree:
+class MostFrequentTree(_SelectedEdges):
     """Weighted nondeterministic observation tree; the heaviest branch wins.
 
     Every observation is kept; each node counts how often it was traversed.
-    Lookup resolution per (node, input): scan entries newest-observation-first
-    and keep the entry whose weight strictly exceeds the running maximum, so
-    equal weights resolve to the most recent entry.
+    Per (node, input) the selected entry is the heaviest, ties resolved to
+    the most recently observed one. `update` keeps that selection in `edges`
+    at O(1) per symbol: an observation adds 1 to the weight of the one entry
+    it follows and makes that entry the most recently observed, and leaves
+    every other entry as it was. So the followed entry is selected afterwards
+    exactly when its new weight reaches the previously selected entry's
+    weight; otherwise the previous selection still wins.
     """
 
     def __init__(self) -> None:
-        self.version = 0
-        self._uids = 0
-        self.root = _FNode(self._next_uid(), 0)
-        self.n_nodes = 1
+        super().__init__(_FNode)
 
-    def _next_uid(self) -> int:
-        self._uids += 1
-        return self._uids
-
-    def next_entry(self, node: _FNode, symbol: int) -> Optional[tuple[_FNode, int]]:
-        """Selected (child, output) for one input symbol, or None if undefined."""
-        entries = node.edges.get(symbol)
-        if not entries:
-            return None
-        best = None
-        best_w = 0
-        for entry in entries:
-            w = entry[0].weight
-            if w > best_w:
-                best, best_w = entry, w
-        return best
-
-    def lookup(self, word: Word) -> Optional[Word]:
-        node = self.root
-        out = []
-        for a in word:
-            entry = self.next_entry(node, a)
-            if entry is None:
-                return None
-            node, o = entry
-            out.append(o)
-        return tuple(out)
+    # see MostRecentTree.lookup
+    lookup = _SelectedEdges.lookup
 
     def update(self, trace: Trace) -> bool:
         """Record one observation; True iff a selected branch changed underway.
@@ -223,64 +222,36 @@ class MostFrequentTree:
         node = self.root
         node.stamp = version
         for a, o in zip(trace.inputs, trace.outputs):
-            entries = node.edges.get(a)
-            if entries is None:
-                entries = node.edges[a] = []
-            pre = self.next_entry(node, a)
-            followed = None
-            for idx, entry in enumerate(entries):
-                if entry[1] == o:
-                    followed = entry
-                    entry[0].weight += 1
-                    if idx:
-                        # move to front: most recently observed first
-                        del entries[idx]
-                        entries.insert(0, entry)
-                    break
-            if followed is None:
+            pre = node.edges.get(a)
+            if pre is None:
                 child = _FNode(self._next_uid(), version)
                 self.n_nodes += 1
-                followed = (child, o)
-                entries.insert(0, followed)
-            post = self.next_entry(node, a)
-            if mainbranch:
-                if pre is not None and post is not pre:
-                    conflicted = True
-                if post is not followed:
+                node.edges[a] = (child, o)
+            elif pre[1] == o:
+                child = pre[0]
+                child.weight += 1
+            else:
+                others = node.others
+                if others is None:
+                    others = node.others = {}
+                child = others.pop((a, o), None)
+                if child is None:
+                    child = _FNode(self._next_uid(), version)
+                    self.n_nodes += 1
+                else:
+                    child.weight += 1
+                if child.weight >= pre[0].weight:
+                    node.edges[a] = (child, o)
+                    others[(a, pre[1])] = pre[0]
+                    child.visible = version
+                    if mainbranch:
+                        conflicted = True
+                else:
+                    others[(a, o)] = child
                     mainbranch = False
-            if post is not pre:
-                post[0].visible = version
-            node = followed[0]
+            node = child
             node.stamp = version
         return conflicted
-
-    def language(self) -> set[Trace]:
-        """Traces along selected entries only; prefix-closed and functional."""
-        result: set[Trace] = set()
-        stack: list[tuple[_FNode, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            result.add(Trace(ins, outs))
-            for a in node.edges:
-                entry = self.next_entry(node, a)
-                if entry is not None:
-                    stack.append((entry[0], ins + (a,), outs + (entry[1],)))
-        return result
-
-    def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
-        best: Optional[tuple[Trace, int]] = None
-        stack: list[tuple[_FNode, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            grew = False
-            for a in node.edges:
-                entry = self.next_entry(node, a)
-                if entry is not None:
-                    grew = True
-                    stack.append((entry[0], ins + (a,), outs + (entry[1],)))
-            if not grew and node.uid > after_uid and (best is None or node.uid < best[1]):
-                best = (Trace(ins, outs), node.uid)
-        return best
 
     def find_disagreement(self, machine: MealyMachine, since: int = -1) -> Optional[Trace]:
         """Like MostRecentTree.find_disagreement over the selected language.
@@ -296,15 +267,10 @@ class MostFrequentTree:
         ]
         while stack:
             node, q, ins, outs, full = stack.pop()
-            for a in node.edges:
-                entry = self.next_entry(node, a)
-                if entry is None:
-                    continue
-                child, o = entry
+            for a, (child, o) in node.edges.items():
                 if emit[q][a] != o:
                     return Trace(ins + (a,), outs + (o,))
-                descend = full or child.stamp > since or child.visible > since
-                if descend:
+                if full or child.stamp > since or child.visible > since:
                     child_full = full or child.visible > since
                     stack.append(
                         (child, trans[q][a], ins + (a,), outs + (o,), child_full)

@@ -37,7 +37,14 @@ Tree = Union[MostRecentTree, MostFrequentTree]
 
 
 class HypothesisLog:
-    """Occurrence counts of proposed hypotheses, up to language equivalence."""
+    """Occurrence counts of proposed hypotheses, up to language equivalence.
+
+    A learner restarted after a prune mostly re-proposes machines it has
+    proposed before, so the log memoizes each machine's fingerprint. The
+    memo is keyed by the machine itself: MealyMachine hashes and compares by
+    its alphabets, initial state and tables, which are all the fingerprint
+    depends on. It lives as long as the log, i.e. one session.
+    """
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
@@ -45,9 +52,12 @@ class HypothesisLog:
         self.first_seen: dict[str, int] = {}
         self.latest: Optional[MealyMachine] = None
         self.total = 0
+        self._fingerprints: dict[MealyMachine, str] = {}
 
     def record(self, h: MealyMachine) -> str:
-        fp = canonical_fingerprint(h)
+        fp = self._fingerprints.get(h)
+        if fp is None:
+            fp = self._fingerprints[h] = canonical_fingerprint(h)
         self.latest = h
         self.total += 1
         if fp not in self.counts:

@@ -6,7 +6,8 @@ implementations can be checked against them wholesale. The vote-path
 references are the straightforward probe, noise and voting code that the
 optimized ``ceal.sul`` must match draw for draw. The learner references
 recompute every row and sift from scratch; ``ceal.learners`` must make the
-same teacher calls in the same order and reach the same tables.
+same teacher calls in the same order and reach the same tables. The
+hypothesis-log reference fingerprints every record it is given.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from typing import Optional, Union
 
 from ceal.learners import InconsistentTeacher, Learner
-from ceal.mealy import MealyMachine, Trace, Word, prefixes
+from ceal.mealy import MealyMachine, Trace, Word, canonical_fingerprint, prefixes
 from ceal.obstree import conflicts
 from ceal.sul import BudgetExhausted, NoiseModel, RepeatPolicy, TestMeter
 
@@ -81,6 +82,28 @@ def naive_disagreement(language: set[Trace], machine: MealyMachine) -> bool:
         if machine.run(t.inputs) != t.outputs:
             return True
     return False
+
+
+class ReferenceHypothesisLog:
+    """HypothesisLog without its fingerprint memo: one fingerprint per record."""
+
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = {}
+        self.representatives: dict[str, MealyMachine] = {}
+        self.first_seen: dict[str, int] = {}
+        self.latest: Optional[MealyMachine] = None
+        self.total = 0
+
+    def record(self, h: MealyMachine) -> str:
+        fp = canonical_fingerprint(h)
+        self.latest = h
+        self.total += 1
+        if fp not in self.counts:
+            self.counts[fp] = 0
+            self.representatives[fp] = h
+            self.first_seen[fp] = self.total
+        self.counts[fp] += 1
+        return fp
 
 
 def reference_perturb(noise: NoiseModel, word: Word, alphabet_size: int) -> Word:

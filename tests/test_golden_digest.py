@@ -1,8 +1,9 @@
 """Golden digest: seeded RunResults stay byte-identical across refactors.
 
-The digest covers every noise kind, both frameworks and both learners on a
-small voted grid, so a change to the probe, noise or voting path that moves
-any RNG draw, meter count or verdict shows up here.
+The first digest covers every noise kind, both frameworks and both learners
+on a small voted grid, so a change to the probe, noise or voting path that
+moves any RNG draw, meter count or verdict shows up here. It runs only the
+default most_recent tree; the second digest covers the most_frequent tree.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import hashlib
 from pathlib import Path
 
 from ceal.harness import ExperimentConfig, load_target, run
+from ceal.learners import InconsistentTeacher
 from ceal.sul import RepeatPolicy
 
 LOCK = Path(__file__).resolve().parent.parent / "benchmarks" / "lock.dot"
@@ -37,3 +39,39 @@ def test_seeded_grid_digest_is_unchanged():
                 for seed in range(4):
                     digest.update(repr(run(cfg, seed, target)).encode())
     assert digest.hexdigest() == GOLDEN
+
+
+# sha256 over the most_frequent grid below, in loop order
+GOLDEN_MOST_FREQUENT = "d7f1d3f95127773a18fb821d745e3dca438612fac742aff45c481af1f75e79b3"
+
+
+def test_most_frequent_grid_digest_is_unchanged():
+    """The same check for ceal on the frequency tree, under light and medium voting.
+
+    A session that raises adds its exception type name in place of its
+    RunResult: at this digest 7 of the 32 sessions raise InconsistentTeacher,
+    because the reviser hands upward answers the frequency tree does not
+    hold. Fixing that (ROADMAP item 1) moves this digest on purpose.
+    """
+    target = load_target(LOCK)
+    digest = hashlib.sha256()
+    for learner in ("lstar_rs", "kv"):
+        for kind in ("input", "output"):
+            for repeats in (RepeatPolicy(1, 1), RepeatPolicy(3, 5)):
+                cfg = ExperimentConfig(
+                    target=str(LOCK),
+                    framework="ceal",
+                    learner=learner,
+                    repeats=repeats,
+                    noise_kind=kind,
+                    noise_rate=0.05,
+                    update_strategy="most_frequent",
+                    max_queries=2000,
+                )
+                for seed in range(4):
+                    try:
+                        result = repr(run(cfg, seed, target))
+                    except InconsistentTeacher as exc:
+                        result = type(exc).__name__
+                    digest.update(result.encode())
+    assert digest.hexdigest() == GOLDEN_MOST_FREQUENT

@@ -7,10 +7,11 @@ import random
 import pytest
 
 from ceal.eqtest import SamplerConfig
-from ceal.mealy import MealyMachine, Trace
+from ceal.mealy import MealyMachine, Trace, canonical_fingerprint
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import PRUNE, HypothesisLog, Reviser, select_final
 from ceal.sul import NoiseModel, SimulatedSystem
+from oracles import ReferenceHypothesisLog
 
 
 def make_reviser(target, tree=None, k_survive=50, revision_ratio=0.0, seed=0,
@@ -196,6 +197,41 @@ def test_hypothesis_log_counts_by_language(toggle, constant_x):
     assert log.total == 3
     assert sorted(log.counts.values()) == [1, 2]
     assert sum(log.counts.values()) == log.total
+
+
+def test_fingerprint_memo_matches_fingerprinting_every_record(
+    toggle, constant_x, monkeypatch
+):
+    twin = MealyMachine(  # equal tables, built as separate objects
+        toggle.inputs, toggle.outputs, 0,
+        tuple(tuple(list(row)) for row in toggle.transitions),
+        tuple(tuple(list(row)) for row in toggle.emissions),
+    )
+    relabeled = MealyMachine(  # same language as toggle, another table
+        toggle.inputs, toggle.outputs, 1, ((1,), (0,)), ((1,), (0,)),
+    )
+    assert twin == toggle and twin is not toggle and twin.transitions is not toggle.transitions
+    assert relabeled != toggle
+    sequence = [twin, constant_x, toggle, relabeled, twin, constant_x, relabeled, toggle]
+
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical_fingerprint(h)
+
+    monkeypatch.setattr("ceal.reviser.canonical_fingerprint", counting)
+    log, ref = HypothesisLog(), ReferenceHypothesisLog()
+    for h in sequence:
+        assert log.record(h) == ref.record(h)
+        assert log.latest is ref.latest
+    assert calls == [twin, constant_x, relabeled]  # once per distinct table
+    assert log.counts == ref.counts and len(log.counts) == 2
+    assert log.first_seen == ref.first_seen
+    assert log.total == ref.total == len(sequence)
+    assert log.representatives.keys() == ref.representatives.keys()
+    for fp, h in ref.representatives.items():
+        assert log.representatives[fp] is h
 
 
 def test_select_final_strategies(toggle, constant_x):
