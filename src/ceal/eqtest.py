@@ -5,6 +5,15 @@ randomized Wp-style scheme that concatenates a uniformly chosen state's
 access sequence, a geometric-length uniform infix, and a uniformly chosen
 characterization suffix. Randomness is injected as an explicit generator so
 configs stay plain data.
+
+Preparing the Wp scheme for a hypothesis costs one minimization (skipped
+when the caller already holds the canonical minimal machine), a BFS for the
+access sequences and a characterization set. The characterization set is
+built in near-linear time for the usual case: one-symbol witnesses come from
+grouping emission rows by prefix, and only pairs of states with equal
+emission rows go through the fixed-point passes for deeper witnesses. The
+words, and so every draw, are the same as those of the plain all-pairs
+refinement; see characterization_set.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from .mealy import MealyMachine, Word, minimize
 
@@ -52,46 +62,94 @@ def access_sequences(h: MealyMachine) -> dict[int, Word]:
 def characterization_set(h: MealyMachine) -> tuple[Word, ...]:
     """Words that pairwise separate the states of a minimal machine.
 
-    Built by witness-collecting partition refinement: a pair differing on
-    some emission gets that single symbol; otherwise a pair inherits
-    (a,) + witness(successor pair) once the successors are separated.
+    Each pair of states gets a witness: a pair whose emission rows differ
+    gets (a,) for its first differing input a; any other pair inherits
+    (a,) + witness(successor pair) from the first input a whose successors
+    are distinct and already witnessed, in repeated passes over the pairs in
+    lexicographic order until a pass assigns nothing. The result is the
+    sorted set of witnesses.
+
+    Only the second kind of pair needs the passes, so the work runs in two
+    stages. The one-symbol witnesses come from grouping the distinct
+    emission rows by prefix, one input at a time: (a,) is some pair's first
+    differing input exactly when one group still together after inputs
+    0..a-1 splits on a. The passes then run over the emission-equal pairs
+    alone, in the same order; a successor pair with different rows counts as
+    witnessed from the start, and its witness is found when first needed.
+    Every pair is assigned the same witness in the same pass as if all
+    n(n-1)/2 pairs were scanned, so the result is the same.
     """
     n = h.n_states
     if n == 1:
         return ((0,),)
     ni = len(h.inputs)
+    trans, emit = h.transitions, h.emissions
+    states_of: dict[tuple[int, ...], list[int]] = {}
+    for q in range(n):
+        states_of.setdefault(emit[q], []).append(q)
+
+    # stage 1: refine groups of distinct rows by emission prefix
+    words: set[Word] = set()
+    groups = [list(states_of)]
+    for a in range(ni):
+        refined = []
+        for group in groups:
+            parts: dict[int, list[tuple[int, ...]]] = {}
+            for row in group:
+                parts.setdefault(row[a], []).append(row)
+            if len(parts) > 1:
+                words.add((a,))
+            refined.extend(part for part in parts.values() if len(part) > 1)
+        groups = refined
+
+    # stage 2: Gauss-Seidel passes over the emission-equal pairs
+    pending = sorted(
+        (p, q)
+        for states in states_of.values()
+        for i, p in enumerate(states)
+        for q in states[i + 1 :]
+    )
     witness: dict[tuple[int, int], Word] = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            for a in range(ni):
-                if h.emissions[p][a] != h.emissions[q][a]:
-                    witness[(p, q)] = (a,)
-                    break
     changed = True
     while changed:
         changed = False
-        for p in range(n):
-            for q in range(p + 1, n):
-                if (p, q) in witness:
+        left = []
+        for p, q in pending:
+            for a in range(ni):
+                sp, sq = trans[p][a], trans[q][a]
+                if sp == sq:
                     continue
-                for a in range(ni):
-                    sp, sq = h.transitions[p][a], h.transitions[q][a]
-                    key = (min(sp, sq), max(sp, sq))
-                    if sp != sq and key in witness:
-                        witness[(p, q)] = (a,) + witness[key]
-                        changed = True
-                        break
-    return tuple(sorted(set(witness.values())))
+                rp, rq = emit[sp], emit[sq]
+                if rp != rq:
+                    found = (a, next(b for b in range(ni) if rp[b] != rq[b]))
+                    break
+                tail = witness.get((sp, sq) if sp < sq else (sq, sp))
+                if tail is not None:
+                    found = (a,) + tail
+                    break
+            else:
+                left.append((p, q))
+                continue
+            witness[(p, q)] = found
+            words.add(found)
+            changed = True
+        pending = left
+    return tuple(sorted(words))
 
 
 class PreparedSampler:
-    """Per-hypothesis sampling state: minimized machine, accesses, suffixes."""
+    """Per-hypothesis sampling state: minimized machine, accesses, suffixes.
 
-    def __init__(self, h: MealyMachine, cfg: SamplerConfig) -> None:
+    minimal is minimize(h) when the caller already has it.
+    """
+
+    def __init__(
+        self, h: MealyMachine, cfg: SamplerConfig, minimal: Optional[MealyMachine] = None
+    ) -> None:
         self.cfg = cfg
         self.n_inputs = len(h.inputs)
         if cfg.method == "randomized_wp":
-            m = minimize(h)
+            m = minimize(h) if minimal is None else minimal
             acc = access_sequences(m)
             self.accesses = tuple(acc[q] for q in range(m.n_states))
             self.suffixes = characterization_set(m)

@@ -233,15 +233,20 @@ def minimize(m: MealyMachine) -> MealyMachine:
     return MealyMachine(m.inputs, m.outputs, 0, tuple(new_trans), tuple(new_emit))
 
 
+def canonical_form(m: MealyMachine) -> tuple[str, MealyMachine]:
+    """canonical_fingerprint(m) together with minimize(m), the machine it digests."""
+    mm = minimize(m)
+    blob = repr((mm.inputs.symbols, mm.outputs.symbols, mm.transitions, mm.emissions))
+    return hashlib.sha256(blob.encode()).hexdigest(), mm
+
+
 def canonical_fingerprint(m: MealyMachine) -> str:
     """Digest that coincides exactly for language-equivalent machines.
 
     Minimization plus BFS renumbering yields a canonical form; the digest
     covers both tables and both alphabets.
     """
-    mm = minimize(m)
-    blob = repr((mm.inputs.symbols, mm.outputs.symbols, mm.transitions, mm.emissions))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_form(m)[0]
 
 
 def find_counterexample(m1: MealyMachine, m2: MealyMachine) -> Optional[Trace]:

@@ -67,6 +67,21 @@ class _FNode:
 
 _Node = Union[_RNode, _FNode]
 
+# A node's path from the root as a parent link: (parent's path, input, output),
+# None at the root. The disagreement scans push one link per node and build
+# the words only for the trace they return.
+_Path = Optional[tuple]
+
+
+def _trace(path: _Path) -> Trace:
+    ins: list[int] = []
+    outs: list[int] = []
+    while path is not None:
+        path, a, o = path
+        ins.append(a)
+        outs.append(o)
+    return Trace(tuple(reversed(ins)), tuple(reversed(outs)))
+
 
 class _SelectedEdges:
     """Traversals of the selected language, shared by both trees."""
@@ -165,14 +180,14 @@ class MostRecentTree(_SelectedEdges):
         stamped after v (pruning alone never creates one).
         """
         trans, emit = machine.transitions, machine.emissions
-        stack: list[tuple[_RNode, int, Word, Word]] = [(self.root, machine.initial, (), ())]
+        stack: list[tuple[_RNode, int, _Path]] = [(self.root, machine.initial, None)]
         while stack:
-            node, q, ins, outs = stack.pop()
+            node, q, path = stack.pop()
             for a, (child, o) in node.edges.items():
                 if emit[q][a] != o:
-                    return Trace(ins + (a,), outs + (o,))
+                    return _trace((path, a, o))
                 if child.stamp > since:
-                    stack.append((child, trans[q][a], ins + (a,), outs + (o,)))
+                    stack.append((child, trans[q][a], (path, a, o)))
         return None
 
 
@@ -261,18 +276,16 @@ class MostFrequentTree(_SelectedEdges):
         maintained by update.
         """
         trans, emit = machine.transitions, machine.emissions
-        # (node, state, ins, outs, full); full forces a complete subtree scan
-        stack: list[tuple[_FNode, int, Word, Word, bool]] = [
-            (self.root, machine.initial, (), (), False)
+        # (node, state, path, full); full forces a complete subtree scan
+        stack: list[tuple[_FNode, int, _Path, bool]] = [
+            (self.root, machine.initial, None, False)
         ]
         while stack:
-            node, q, ins, outs, full = stack.pop()
+            node, q, path, full = stack.pop()
             for a, (child, o) in node.edges.items():
                 if emit[q][a] != o:
-                    return Trace(ins + (a,), outs + (o,))
+                    return _trace((path, a, o))
                 if full or child.stamp > since or child.visible > since:
                     child_full = full or child.visible > since
-                    stack.append(
-                        (child, trans[q][a], ins + (a,), outs + (o,), child_full)
-                    )
+                    stack.append((child, trans[q][a], (path, a, o), child_full))
         return None

@@ -17,7 +17,7 @@ import random
 from typing import Optional, Union
 
 from .eqtest import PreparedSampler, SamplerConfig
-from .mealy import MealyMachine, Trace, Word, canonical_fingerprint
+from .mealy import MealyMachine, Trace, Word, canonical_fingerprint, canonical_form
 from .obstree import MostFrequentTree, MostRecentTree
 from .sul import SimulatedSystem
 
@@ -43,7 +43,9 @@ class HypothesisLog:
     proposed before, so the log memoizes each machine's fingerprint. The
     memo is keyed by the machine itself: MealyMachine hashes and compares by
     its alphabets, initial state and tables, which are all the fingerprint
-    depends on. It lives as long as the log, i.e. one session.
+    depends on. It lives as long as the log, i.e. one session. Next to each
+    fingerprint the log keeps the canonical minimal machine it digests, in
+    `minimal`, so the equivalence test that follows need not minimize again.
     """
 
     def __init__(self) -> None:
@@ -52,12 +54,15 @@ class HypothesisLog:
         self.first_seen: dict[str, int] = {}
         self.latest: Optional[MealyMachine] = None
         self.total = 0
+        self.minimal: dict[str, MealyMachine] = {}
         self._fingerprints: dict[MealyMachine, str] = {}
 
     def record(self, h: MealyMachine) -> str:
         fp = self._fingerprints.get(h)
         if fp is None:
-            fp = self._fingerprints[h] = canonical_fingerprint(h)
+            fp, minimal = canonical_form(h)
+            self._fingerprints[h] = fp
+            self.minimal[fp] = minimal
         self.latest = h
         self.total += 1
         if fp not in self.counts:
@@ -155,18 +160,22 @@ class Reviser:
         return sampler.draw(self.rng)
 
     def test(
-        self, h: MealyMachine, fp: Optional[str] = None
+        self,
+        h: MealyMachine,
+        fp: Optional[str] = None,
+        minimal: Optional[MealyMachine] = None,
     ) -> Union[Trace, _PruneSignal, None]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
         Requires a hypothesis consistent with the tree. Returns PRUNE on
         conflict, a tree-confirmed counterexample trace on disagreement, and
         None once k_survive consecutive probes produced neither. fp is as
-        for check.
+        for check; minimal is h's canonical minimal machine when the caller
+        already has it.
         """
         if self.check(h, fp) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
-        sampler = PreparedSampler(h, self.sampler_cfg)
+        sampler = PreparedSampler(h, self.sampler_cfg, minimal)
         survived = 0
         while survived < self.k_survive:
             word = self._draw_word(sampler)
@@ -189,4 +198,4 @@ class Reviser:
         found = self.check(h, fp)
         if found is not None:
             return found
-        return self.test(h, fp)
+        return self.test(h, fp, log.minimal[fp])

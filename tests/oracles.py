@@ -7,7 +7,8 @@ references are the straightforward probe, noise and voting code that the
 optimized ``ceal.sul`` must match draw for draw. The learner references
 recompute every row and sift from scratch; ``ceal.learners`` must make the
 same teacher calls in the same order and reach the same tables. The
-hypothesis-log reference fingerprints every record it is given.
+hypothesis-log reference fingerprints every record it is given. The
+characterization-set reference scans all state pairs on every pass.
 """
 
 from __future__ import annotations
@@ -104,6 +105,42 @@ class ReferenceHypothesisLog:
             self.first_seen[fp] = self.total
         self.counts[fp] += 1
         return fp
+
+
+def reference_characterization_set(h: MealyMachine) -> tuple[Word, ...]:
+    """Witness-collecting partition refinement over all n(n-1)/2 state pairs.
+
+    A pair differing on some emission gets that single symbol; otherwise a
+    pair inherits (a,) + witness(successor pair) once the successors are
+    separated. Passes run in lexicographic pair order and see the witnesses
+    assigned earlier in the same pass.
+    """
+    n = h.n_states
+    if n == 1:
+        return ((0,),)
+    ni = len(h.inputs)
+    witness: dict[tuple[int, int], Word] = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            for a in range(ni):
+                if h.emissions[p][a] != h.emissions[q][a]:
+                    witness[(p, q)] = (a,)
+                    break
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(p + 1, n):
+                if (p, q) in witness:
+                    continue
+                for a in range(ni):
+                    sp, sq = h.transitions[p][a], h.transitions[q][a]
+                    key = (min(sp, sq), max(sp, sq))
+                    if sp != sq and key in witness:
+                        witness[(p, q)] = (a,) + witness[key]
+                        changed = True
+                        break
+    return tuple(sorted(set(witness.values())))
 
 
 def reference_perturb(noise: NoiseModel, word: Word, alphabet_size: int) -> Word:

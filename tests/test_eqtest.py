@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,50 @@ from ceal.eqtest import (
     characterization_set,
     sample_word,
 )
+from ceal.harness import load_target
 from ceal.mealy import Alphabet, MealyMachine, find_counterexample, minimize, random_machine
+from oracles import reference_characterization_set
 
 SIGMA = Alphabet(("a", "b"))
 GAMMA = Alphabet(("0", "1"))
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def chain_machine(n: int) -> MealyMachine:
+    """Input a walks towards state n-1, input b back towards 0.
+
+    Only state n-1 has its own emission row, so every pair of the other
+    states needs a deep witness: the a^k that takes one of them to n-1.
+    """
+    trans = tuple((min(q + 1, n - 1), max(q - 1, 0)) for q in range(n))
+    emit = tuple(((1, 0) if q == n - 1 else (0, 0)) for q in range(n))
+    return MealyMachine(SIGMA, GAMMA, 0, trans, emit)
+
+
+def reference_case(case: str) -> MealyMachine:
+    """A minimal machine named by kind and seed or file, e.g. 'small-3'."""
+    kind, _, arg = case.partition("-")
+    if kind == "small":
+        seed = int(arg)
+        return minimize(random_machine(2 + seed % 7, Alphabet(("a", "b", "c")), GAMMA, seed))
+    if kind == "large":
+        inputs, outputs = Alphabet(tuple("abcdef")), Alphabet(("w", "x", "y", "z"))
+        return minimize(random_machine(120, inputs, outputs, int(arg)))
+    if kind == "dot":
+        return minimize(load_target(BENCHMARKS / f"{arg}.dot"))
+    if kind == "chain":
+        return chain_machine(int(arg))
+    if kind == "single":
+        return MealyMachine(SIGMA, GAMMA, 0, ((0, 0),), ((1, 0),))
+    raise ValueError(case)
+
+
+REFERENCE_CASES = (
+    [f"small-{seed}" for seed in range(30)]
+    + [f"large-{seed}" for seed in range(3)]
+    + [f"dot-{name}" for name in ("lock", "session", "player")]
+    + ["chain-40", "single"]
+)
 
 
 def bfs_distances(m: MealyMachine) -> dict[int, int]:
@@ -73,6 +114,42 @@ def test_characterization_set_separates_all_pairs(seed):
     for p in range(m.n_states):
         for q in range(p + 1, m.n_states):
             assert any(m.run(word, start=p) != m.run(word, start=q) for word in w)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_characterization_set_matches_reference(case):
+    m = reference_case(case)
+    assert m.n_states == minimize(m).n_states
+    assert characterization_set(m) == reference_characterization_set(m)
+
+
+def test_chain_machine_needs_deep_witnesses():
+    m = chain_machine(40)
+    words = characterization_set(m)
+    assert minimize(m).n_states == 40
+    assert words == tuple((0,) * k for k in range(1, 40))
+
+
+@pytest.mark.parametrize("case", ["small-5", "small-11", "large-0", "dot-player", "chain-12"])
+def test_sampler_draws_match_reference_suffixes(case):
+    m = reference_case(case)
+    # a renumbered copy, so the sampler has to minimize it first
+    perm = list(range(m.n_states))
+    random.Random(case).shuffle(perm)
+    inv = {p: q for q, p in enumerate(perm)}
+    h = MealyMachine(
+        m.inputs, m.outputs, inv[m.initial],
+        tuple(tuple(inv[s] for s in m.transitions[p]) for p in perm),
+        tuple(m.emissions[p] for p in perm),
+    )
+    cfg = SamplerConfig(mean_infix=2.0, max_len=60)
+    reference = PreparedSampler(h, cfg)
+    reference.suffixes = reference_characterization_set(minimize(h))
+    for sampler in (PreparedSampler(h, cfg), PreparedSampler(h, cfg, minimize(h))):
+        rng, ref_rng = random.Random(7), random.Random(7)
+        assert [sampler.draw(rng) for _ in range(300)] == [
+            reference.draw(ref_rng) for _ in range(300)
+        ]
 
 
 def test_sampler_config_validation():

@@ -13,9 +13,12 @@ from pathlib import Path
 
 from ceal.harness import ExperimentConfig, load_target, run
 from ceal.learners import InconsistentTeacher
+from ceal.mealy import Alphabet, random_machine, write_dot
 from ceal.sul import RepeatPolicy
 
 LOCK = Path(__file__).resolve().parent.parent / "benchmarks" / "lock.dot"
+INPUTS4 = Alphabet(("a", "b", "c", "d"))
+OUTPUTS2 = Alphabet(("0", "1"))
 
 # sha256 over repr(RunResult) of the grid below, in loop order
 GOLDEN = "aa05bff45ff0ec8bc2cc45da205879875af7585851817221b871c7657ead7368"
@@ -75,3 +78,28 @@ def test_most_frequent_grid_digest_is_unchanged():
                         result = type(exc).__name__
                     digest.update(result.encode())
     assert digest.hexdigest() == GOLDEN_MOST_FREQUENT
+
+
+# sha256 over the random-target grid below, in loop order
+GOLDEN_RANDOM_TARGET = "669c7472af627f423cd2849340df1c18a28e4403b126161bc761932c06355af6"
+
+
+def test_random_target_digest_is_unchanged(tmp_path):
+    """Noise-free ceal and MAT on a seeded random target with deep witnesses.
+
+    lock.dot's characterization set is tiny, so the grids above barely pin
+    the equivalence-test sampler. This target has 30 states, 4 inputs and
+    2 outputs, so its hypotheses need multi-symbol characterization words;
+    a change to the sampler's accesses, suffixes or draws moves this digest.
+    The target goes through DOT and back, as the benchmarks' targets do.
+    """
+    path = tmp_path / "random30.dot"
+    path.write_text(write_dot(random_machine(30, INPUTS4, OUTPUTS2, seed=5)))
+    target = load_target(path)
+    digest = hashlib.sha256()
+    for framework in ("ceal", "mat"):
+        for learner in ("lstar_rs", "kv"):
+            cfg = ExperimentConfig(target=str(path), framework=framework, learner=learner)
+            for seed in range(3):
+                digest.update(repr(run(cfg, seed, target)).encode())
+    assert digest.hexdigest() == GOLDEN_RANDOM_TARGET

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ceal.eqtest import SamplerConfig
-from ceal.mealy import MealyMachine, Trace, canonical_fingerprint
+from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, canonical_form, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import PRUNE, HypothesisLog, Reviser, select_final
 from ceal.sul import NoiseModel, SimulatedSystem
@@ -169,6 +169,26 @@ def test_eq_survival_verdict_noise_free(toggle):
     assert r.prunes == 0
 
 
+def test_eq_minimizes_each_hypothesis_once(toggle, monkeypatch):
+    relabeled = MealyMachine(  # toggle with its two states renumbered
+        toggle.inputs, toggle.outputs, 1, ((1,), (0,)), ((1,), (0,)),
+    )
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return minimize(m)
+
+    monkeypatch.setattr("ceal.mealy.minimize", counting)
+    monkeypatch.setattr("ceal.eqtest.minimize", counting)
+    r = make_reviser(toggle, k_survive=30)
+    log = HypothesisLog()
+    assert r.eq(relabeled, log) is None
+    assert r.system.meter.tests == 30
+    # the fingerprint's minimization is reused by the sampler
+    assert calls == [relabeled]
+
+
 def test_revision_ratio_revisits_oldest_words_in_order(toggle):
     r = make_reviser(toggle, k_survive=3, revision_ratio=1.0)
     r.apply(Trace((0,), (0,)))
@@ -218,9 +238,9 @@ def test_fingerprint_memo_matches_fingerprinting_every_record(
 
     def counting(h):
         calls.append(h)
-        return canonical_fingerprint(h)
+        return canonical_form(h)
 
-    monkeypatch.setattr("ceal.reviser.canonical_fingerprint", counting)
+    monkeypatch.setattr("ceal.reviser.canonical_form", counting)
     log, ref = HypothesisLog(), ReferenceHypothesisLog()
     for h in sequence:
         assert log.record(h) == ref.record(h)
@@ -232,6 +252,10 @@ def test_fingerprint_memo_matches_fingerprinting_every_record(
     assert log.representatives.keys() == ref.representatives.keys()
     for fp, h in ref.representatives.items():
         assert log.representatives[fp] is h
+    # the canonical minimal machine is kept next to each fingerprint
+    assert log.minimal.keys() == ref.counts.keys()
+    for h in sequence:
+        assert log.minimal[canonical_fingerprint(h)] == minimize(h)
 
 
 def test_select_final_strategies(toggle, constant_x):
