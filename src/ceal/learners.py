@@ -20,8 +20,18 @@ and the classification tree only gains nodes (a split replaces a leaf in
 place by an inner node that keeps it as a child). A cached row therefore
 lacks only the columns appended since it was computed, and the path above
 a sift's end point is the one a sift from the root would walk again, on
-memo hits alone. The teacher sees the same calls in the same order as
-without the caches. restart() drops them with the memo.
+memo hits alone.
+
+KV also keeps, on each leaf, its emission row and the leaf each one-symbol
+extension of its access word sifted to, with that leaf's split count at the
+time. A build re-sifts an extension only when its cached successor has
+been split since, and asks and sifts in full only for leaves it has not
+built before. The shortcut is exact for the same reasons: the emission row
+is read from the memo, and a leaf that was never split still sits where
+the extension's last sift ended, so resuming there would return it without
+asking anything. The teacher sees the same calls in the same order as
+without the caches. restart() drops them with the memo, since it replaces
+the whole classification tree.
 """
 
 from __future__ import annotations
@@ -176,11 +186,17 @@ class LStarLearner(Learner):
 
 
 class _Leaf:
-    __slots__ = ("access", "parent")
+    __slots__ = ("access", "parent", "splits", "emissions", "successors")
 
     def __init__(self, access: Word, parent: Optional["_Inner"]) -> None:
         self.access = access
         self.parent = parent
+        # bumped by every split of this leaf
+        self.splits = 0
+        # filled by the first build that reaches this leaf: the emission row,
+        # and per input the successor leaf with its split count at the time
+        self.emissions: tuple[int, ...] = ()
+        self.successors: Optional[list[tuple["_Leaf", int]]] = None
 
 
 class _Inner:
@@ -232,6 +248,7 @@ class KVLearner(Learner):
         return node
 
     def build_hypothesis(self) -> MealyMachine:
+        ni = len(self.inputs)
         init = self.sift(())
         order: list[_Leaf] = [init]
         index: dict[int, int] = {id(init): 0}
@@ -241,18 +258,32 @@ class KVLearner(Learner):
         while i < len(order):
             leaf = order[i]
             i += 1
+            successors = leaf.successors
+            if successors is None:
+                erow = []
+                successors = []
+                for a in range(ni):
+                    w = leaf.access + (a,)
+                    erow.append(self._ask(w)[-1])
+                    succ = self.sift(w)
+                    successors.append((succ, succ.splits))
+                leaf.emissions = tuple(erow)
+                leaf.successors = successors
+            else:
+                for a in range(ni):
+                    succ, splits = successors[a]
+                    if succ.splits != splits:
+                        succ = self.sift(leaf.access + (a,))
+                        successors[a] = (succ, succ.splits)
             trow = []
-            erow = []
-            for a in range(len(self.inputs)):
-                w = leaf.access + (a,)
-                erow.append(self._ask(w)[-1])
-                succ = self.sift(w)
-                if id(succ) not in index:
-                    index[id(succ)] = len(order)
+            for succ, _ in successors:
+                j = index.get(id(succ))
+                if j is None:
+                    j = index[id(succ)] = len(order)
                     order.append(succ)
-                trow.append(index[id(succ)])
+                trow.append(j)
             transitions.append(tuple(trow))
-            emissions.append(tuple(erow))
+            emissions.append(leaf.emissions)
         m = MealyMachine(self.inputs, self.outputs, 0, tuple(transitions), tuple(emissions))
         self._hyp = m
         self._leaves = order
@@ -274,6 +305,7 @@ class KVLearner(Learner):
         inner.children[t_old] = leaf
         inner.children[t_new] = _Leaf(new_access, inner)
         leaf.parent = inner
+        leaf.splits += 1
 
     def refine(self, cex: Trace) -> None:
         """Split the first leaf whose classification the counterexample breaks."""

@@ -174,6 +174,9 @@ def minimize(m: MealyMachine) -> MealyMachine:
 
     Partition refinement seeded by emission rows, iterated to a fixed point,
     then rebuilt with states numbered in BFS order from the initial block.
+    When m is already canonical (every state reachable and in its own
+    block, and numbered 0..n-1 in BFS order from initial state 0), the
+    rebuild would reproduce m table for table, so m itself is returned.
     """
     order = _reachable_order(m)
     ni = len(m.inputs)
@@ -186,7 +189,8 @@ def minimize(m: MealyMachine) -> MealyMachine:
             rows[row] = len(rows)
         block[q] = rows[row]
 
-    while True:
+    # blocks only ever split, so all-singleton blocks are a fixed point
+    while len(rows) < len(order):
         sigs: dict[tuple, int] = {}
         nxt: dict[int, int] = {}
         for q in order:
@@ -198,6 +202,9 @@ def minimize(m: MealyMachine) -> MealyMachine:
             break
         rows = sigs
         block = nxt
+
+    if len(rows) == m.n_states and order == list(range(m.n_states)):
+        return m
 
     # representative of each block = first member in BFS order
     rep: dict[int, int] = {}

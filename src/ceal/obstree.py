@@ -90,7 +90,6 @@ class _SelectedEdges:
         self.version = 0
         self._uids = 0
         self.root = node_cls(self._next_uid(), 0)
-        self.n_nodes = 1
 
     def _next_uid(self) -> int:
         self._uids += 1
@@ -164,10 +163,8 @@ class MostRecentTree(_SelectedEdges):
             else:
                 if edge is not None:
                     conflicted = True
-                    self.n_nodes -= _subtree_size(edge[0])
                 child = _RNode(self._next_uid(), version)
                 node.edges[a] = (child, o)
-                self.n_nodes += 1
                 node = child
             node.stamp = version
         return conflicted
@@ -189,16 +186,6 @@ class MostRecentTree(_SelectedEdges):
                 if child.stamp > since:
                     stack.append((child, trans[q][a], (path, a, o)))
         return None
-
-
-def _subtree_size(node: _RNode) -> int:
-    total = 0
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        total += 1
-        stack.extend(c for c, _ in n.edges.values())
-    return total
 
 
 class MostFrequentTree(_SelectedEdges):
@@ -240,7 +227,6 @@ class MostFrequentTree(_SelectedEdges):
             pre = node.edges.get(a)
             if pre is None:
                 child = _FNode(self._next_uid(), version)
-                self.n_nodes += 1
                 node.edges[a] = (child, o)
             elif pre[1] == o:
                 child = pre[0]
@@ -252,7 +238,6 @@ class MostFrequentTree(_SelectedEdges):
                 child = others.pop((a, o), None)
                 if child is None:
                     child = _FNode(self._next_uid(), version)
-                    self.n_nodes += 1
                 else:
                     child.weight += 1
                 if child.weight >= pre[0].weight:

@@ -8,13 +8,15 @@ optimized ``ceal.sul`` must match draw for draw. The learner references
 recompute every row and sift from scratch; ``ceal.learners`` must make the
 same teacher calls in the same order and reach the same tables. The
 hypothesis-log reference fingerprints every record it is given. The
-characterization-set reference scans all state pairs on every pass.
+characterization-set reference scans all state pairs on every pass. The
+minimization reference always rebuilds its result, even from a machine that
+is already canonical.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from typing import Optional, Union
 
 from ceal.learners import InconsistentTeacher, Learner
@@ -141,6 +143,77 @@ def reference_characterization_set(h: MealyMachine) -> tuple[Word, ...]:
                         changed = True
                         break
     return tuple(sorted(set(witness.values())))
+
+
+def reference_minimize(m: MealyMachine) -> MealyMachine:
+    """Reachable, observationally minimal quotient of m, always a new machine.
+
+    Partition refinement seeded by emission rows, iterated to a fixed point,
+    then rebuilt with states numbered in BFS order from the initial block.
+    """
+    order = [m.initial]
+    seen = {m.initial}
+    queue = deque(order)
+    while queue:
+        q = queue.popleft()
+        for a in range(len(m.inputs)):
+            nxt = m.transitions[q][a]
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    ni = len(m.inputs)
+
+    block: dict[int, int] = {}
+    rows: dict[tuple, int] = {}
+    for q in order:
+        row = m.emissions[q]
+        if row not in rows:
+            rows[row] = len(rows)
+        block[q] = rows[row]
+
+    while True:
+        sigs: dict[tuple, int] = {}
+        nxt_block: dict[int, int] = {}
+        for q in order:
+            sig = (block[q],) + tuple(block[m.transitions[q][a]] for a in range(ni))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            nxt_block[q] = sigs[sig]
+        if len(sigs) == len(rows):
+            break
+        rows = sigs
+        block = nxt_block
+
+    # representative of each block = first member in BFS order
+    rep: dict[int, int] = {}
+    for q in order:
+        rep.setdefault(block[q], q)
+
+    # renumber blocks in BFS order from the initial block
+    renum: dict[int, int] = {block[m.initial]: 0}
+    bfs = deque([block[m.initial]])
+    rows_trans: dict[int, list[int]] = {}
+    while bfs:
+        b = bfs.popleft()
+        q = rep[b]
+        succ = []
+        for a in range(ni):
+            tb = block[m.transitions[q][a]]
+            if tb not in renum:
+                renum[tb] = len(renum)
+                bfs.append(tb)
+            succ.append(tb)
+        rows_trans[renum[b]] = succ
+
+    inv = {new: b for b, new in renum.items()}
+    new_trans: list[tuple[int, ...]] = []
+    new_emit: list[tuple[int, ...]] = []
+    for new_id, succ in sorted(rows_trans.items()):
+        q = rep[inv[new_id]]
+        new_trans.append(tuple(renum[b] for b in succ))
+        new_emit.append(tuple(m.emissions[q]))
+    return MealyMachine(m.inputs, m.outputs, 0, tuple(new_trans), tuple(new_emit))
 
 
 def reference_perturb(noise: NoiseModel, word: Word, alphabet_size: int) -> Word:

@@ -263,7 +263,7 @@ def _table(learner):
     return _shape(learner.root)
 
 
-def _drive(learner_cls, target, seed, lie_rate, prunes, rounds=25):
+def _drive(learner_cls, target, seed, lie_rate, prunes, rounds=60):
     """Learn with perfect equivalence checks; log calls, tables and raise points."""
     teacher, calls = _seeded_teacher(target, seed, lie_rate, prunes)
     learner = learner_cls(target.inputs, target.outputs, teacher)
@@ -288,6 +288,18 @@ def _drive(learner_cls, target, seed, lie_rate, prunes, rounds=25):
     return calls, events, pruned_in
 
 
+def _reference_targets():
+    """(seed, target, lie-rate scale) for the call-for-call comparison."""
+    for seed in range(16):
+        yield seed, random_machine(3 + seed % 6, Alphabet(("a", "b", "c")[: 2 + seed % 2]),
+                                   Alphabet(("0", "1")), seed), 1.0
+    # larger targets, so that KV builds reuse many cached successors across
+    # splits; fewer lies let a lying teacher's session grow past 20 states
+    for seed in (16, 17, 18):
+        yield seed, random_machine(40, Alphabet(("a", "b", "c", "d")),
+                                   Alphabet(("0", "1", "2")), seed), 0.2
+
+
 @pytest.mark.parametrize("learner_cls,reference_cls", [
     (LStarLearner, ReferenceLStarLearner),
     (KVLearner, ReferenceKVLearner),
@@ -298,11 +310,9 @@ def test_learner_matches_reference_call_for_call(learner_cls, reference_cls, tea
     lie_rate, prunes = {"honest": (0.0, 0), "lying": (0.05, 0), "pruning": (0.0, 6)}[teacher_kind]
     raised = 0
     pruned_in: set = set()
-    for seed in range(16):
-        target = random_machine(3 + seed % 6, Alphabet(("a", "b", "c")[: 2 + seed % 2]),
-                                Alphabet(("0", "1")), seed)
-        want = _drive(reference_cls, target, seed, lie_rate, prunes)
-        got = _drive(learner_cls, target, seed, lie_rate, prunes)
+    for seed, target, lie_scale in _reference_targets():
+        want = _drive(reference_cls, target, seed, lie_rate * lie_scale, prunes)
+        got = _drive(learner_cls, target, seed, lie_rate * lie_scale, prunes)
         assert got[0] == want[0]  # teacher calls, in order
         assert got[1] == want[1]  # hypotheses, tables and raise points
         raised += sum(e[0] == "inconsistent" for e in got[1])
@@ -311,3 +321,32 @@ def test_learner_matches_reference_call_for_call(learner_cls, reference_cls, tea
         assert raised  # the lies reached InconsistentTeacher somewhere
     if teacher_kind == "pruning":  # unwound mid-closing (L*) and mid-sift (KV)
         assert ("sift" if learner_cls is KVLearner else "build_hypothesis") in pruned_in
+
+
+def test_kv_build_after_one_new_state_sifts_only_what_changed():
+    """A KV round that adds one state re-sifts a handful of words, not all n*k."""
+    target = random_machine(40, Alphabet(("a", "b", "c", "d")), Alphabet(("0", "1", "2")), 16)
+    k = len(target.inputs)
+    learner = KVLearner(target.inputs, target.outputs, oracle_teacher(target))
+    sifts = [0]
+    sift = learner.sift
+
+    def counting_sift(word):
+        sifts[0] += 1
+        return sift(word)
+
+    learner.sift = counting_sift
+    checked = 0
+    n = 0
+    while True:
+        sifts[0] = 0
+        h = learner.build_hypothesis()
+        if n >= 20 and h.n_states == n + 1:
+            assert sifts[0] <= n * k // 4, (n, sifts[0])  # a full rebuild sifts n*k+1 words
+            checked += 1
+        n = h.n_states
+        cex = find_counterexample(target, h)
+        if cex is None:
+            break
+        learner.refine(cex)
+    assert n == 40 and checked >= 10

@@ -1,9 +1,12 @@
 """Machine semantics, DOT round-trips, equivalence checking, canonical forms."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from ceal.harness import load_target
+from ceal.learners import KVLearner, LStarLearner
 from ceal.mealy import (
     Alphabet,
     DotParseError,
@@ -17,6 +20,9 @@ from ceal.mealy import (
     random_machine,
     write_dot,
 )
+from oracles import reference_minimize
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def test_run_toggle(toggle):
@@ -223,6 +229,81 @@ def test_minimize_idempotent_and_preserves_language():
         assert mm.n_states <= m.n_states
         again = minimize(mm)
         assert again.n_states == mm.n_states
+
+
+def _renumbered(m: MealyMachine, perm: list[int]) -> MealyMachine:
+    """The same machine with state perm[i] renamed to i."""
+    inv = {old: new for new, old in enumerate(perm)}
+    trans = [()] * m.n_states
+    emit = [()] * m.n_states
+    for q in range(m.n_states):
+        trans[inv[q]] = tuple(inv[s] for s in m.transitions[q])
+        emit[inv[q]] = m.emissions[q]
+    return MealyMachine(m.inputs, m.outputs, inv[m.initial], tuple(trans), tuple(emit))
+
+
+def _with_extra_state(m: MealyMachine, row_of: int, redirect: bool) -> MealyMachine:
+    """m plus a copy of state row_of; redirect=True points the initial state's
+    first input at the copy (a reachable twin), otherwise nothing reaches it."""
+    trans = [list(r) for r in m.transitions] + [list(m.transitions[row_of])]
+    if redirect:
+        trans[m.initial][0] = m.n_states
+    return MealyMachine(m.inputs, m.outputs, m.initial, tuple(tuple(r) for r in trans),
+                        m.emissions + (m.emissions[row_of],))
+
+
+def _minimize_cases():
+    rng = random.Random(11)
+    cases = []
+    for learner_cls in (KVLearner, LStarLearner):
+        for seed in range(6):
+            target = random_machine(4 + 5 * seed, Alphabet(("a", "b", "c")),
+                                    Alphabet(("0", "1", "2")), seed)
+            learner = learner_cls(target.inputs, target.outputs, target.run)
+            while True:
+                h = learner.build_hypothesis()
+                cases.append((learner_cls.__name__, h))
+                cex = find_counterexample(target, h)
+                if cex is None:
+                    break
+                learner.refine(cex)
+    bases = [random_machine(n, Alphabet(("a", "b")), Alphabet(("0", "1")), seed)
+             for seed, n in enumerate((1, 2, 3, 5, 8, 8, 13, 21))]
+    bases += [load_target(BENCHMARKS / f"{name}.dot") for name in ("lock", "session", "player")]
+    bases += [minimize(m) for m in bases]
+    for m in bases:
+        perm = list(range(m.n_states))
+        rng.shuffle(perm)
+        cases.append(("random", m))
+        cases.append(("shuffled", _renumbered(m, perm)))
+        if m.n_states > 1:
+            moved = rng.randrange(1, m.n_states)
+            cases.append(("initial", MealyMachine(m.inputs, m.outputs, moved,
+                                                  m.transitions, m.emissions)))
+        cases.append(("unreachable", _with_extra_state(m, rng.randrange(m.n_states), False)))
+        cases.append(("twin", _with_extra_state(m, m.transitions[m.initial][0], True)))
+    return cases
+
+
+def test_minimize_matches_reference_and_returns_canonical_machines_as_they_are():
+    kinds_kept: dict[str, int] = {}
+    for kind, m in _minimize_cases():
+        want = reference_minimize(m)
+        got = minimize(m)
+        assert got == want, kind
+        assert (got is m) == (want == m), kind
+        assert minimize(want) is want  # a minimized machine is canonical
+        if got is m:
+            kinds_kept[kind] = kinds_kept.get(kind, 0) + 1
+        if kind == "KVLearner":  # KV under a consistent teacher emits canonical machines
+            assert got is m
+        if kind in ("unreachable", "twin"):
+            assert got is not m and got.n_states < m.n_states
+    # both paths are taken, and renumbered copies of canonical machines are
+    # rebuilt unless the shuffle happened to keep the BFS numbering
+    assert kinds_kept["KVLearner"] and kinds_kept["random"]
+    assert kinds_kept.get("shuffled", 0) < kinds_kept["random"]
+    assert "initial" not in kinds_kept
 
 
 def test_fingerprint_invariant_under_renumbering():

@@ -45,7 +45,6 @@ def test_recent_tree_overwrite_prunes_subtree():
     assert t.lookup((0,)) == (1,)
     assert t.lookup((0, 0)) is None  # old continuation is gone
     assert t.lookup((1,)) == (1,)  # sibling untouched
-    assert t.n_nodes == 3
 
 
 def test_recent_tree_mid_trace_conflict_keeps_clean_prefix():
