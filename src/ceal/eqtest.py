@@ -6,6 +6,12 @@ access sequence, a geometric-length uniform infix, and a uniformly chosen
 characterization suffix. Randomness is injected as an explicit generator so
 configs stay plain data.
 
+A draw takes, in order: the access index, one ``random()`` per infix step
+(the infix stops at the first draw below 1 / (1 + mean_infix), or at
+max_len), the infix symbols, and the suffix index. Every index and symbol
+is a bounded draw made with ``getrandbits`` exactly as ``randrange`` makes
+it (see ceal.sul.randbelow), so seeded draws are those of randrange.
+
 Preparing the Wp scheme for a hypothesis costs one minimization (skipped
 when the caller already holds the canonical minimal machine), a BFS for the
 access sequences and a characterization set. The characterization set is
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .mealy import MealyMachine, Word, minimize
+from .sul import randbelow
 
 METHODS = ("random_walk", "randomized_wp")
 
@@ -158,20 +165,29 @@ class PreparedSampler:
             self.suffixes = ((),)
 
     def _infix(self, rng: random.Random) -> Word:
-        mean = self.cfg.mean_infix
-        stop = 1.0 / (1.0 + mean)
+        stop = 1.0 / (1.0 + self.cfg.mean_infix)
+        draw, limit = rng.random, self.cfg.max_len
         k = 0
-        while rng.random() >= stop and k < self.cfg.max_len:
+        while draw() >= stop and k < limit:
             k += 1
-        return tuple(rng.randrange(self.n_inputs) for _ in range(k))
+        # randbelow(rng, n) inlined, as it runs once per infix symbol
+        n = self.n_inputs
+        bits, width = rng.getrandbits, n.bit_length()
+        out = []
+        for _ in range(k):
+            r = bits(width)
+            while r >= n:
+                r = bits(width)
+            out.append(r)
+        return tuple(out)
 
     def draw(self, rng: random.Random) -> Word:
         if self.cfg.method == "random_walk":
             return self._infix(rng)[: self.cfg.max_len]
         word = (
-            self.accesses[rng.randrange(len(self.accesses))]
+            self.accesses[randbelow(rng, len(self.accesses))]
             + self._infix(rng)
-            + self.suffixes[rng.randrange(len(self.suffixes))]
+            + self.suffixes[randbelow(rng, len(self.suffixes))]
         )
         return word[: self.cfg.max_len]
 

@@ -394,7 +394,10 @@ def _csv_cell(value) -> str:
 
 
 def emit_report(rows: Sequence[dict], format: str = "csv") -> str:
-    """Render aggregated rows as CSV (floats to 2 decimals) or JSON."""
+    """Render aggregated rows as CSV (floats to 2 decimals) or JSON.
+
+    Either text ends in one newline.
+    """
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -403,7 +406,7 @@ def emit_report(rows: Sequence[dict], format: str = "csv") -> str:
             writer.writerow([_csv_cell(row[f]) for f in REPORT_FIELDS])
         return buf.getvalue()
     if format == "json":
-        return json.dumps([{f: row[f] for f in REPORT_FIELDS} for row in rows], indent=2)
+        return json.dumps([{f: row[f] for f in REPORT_FIELDS} for row in rows], indent=2) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
 

@@ -180,11 +180,13 @@ class MostRecentTree(_SelectedEdges):
         stack: list[tuple[_RNode, int, _Path]] = [(self.root, machine.initial, None)]
         while stack:
             node, q, path = stack.pop()
+            row, succ = emit[q], trans[q]
             for a, (child, o) in node.edges.items():
-                if emit[q][a] != o:
+                if row[a] != o:
                     return _trace((path, a, o))
-                if child.stamp > since:
-                    stack.append((child, trans[q][a], (path, a, o)))
+                # a leaf has no edges to check
+                if child.edges and child.stamp > since:
+                    stack.append((child, succ[a], (path, a, o)))
         return None
 
 
@@ -267,10 +269,12 @@ class MostFrequentTree(_SelectedEdges):
         ]
         while stack:
             node, q, path, full = stack.pop()
+            row, succ = emit[q], trans[q]
             for a, (child, o) in node.edges.items():
-                if emit[q][a] != o:
+                if row[a] != o:
                     return _trace((path, a, o))
-                if full or child.stamp > since or child.visible > since:
+                # a leaf has no edges to check
+                if child.edges and (full or child.stamp > since or child.visible > since):
                     child_full = full or child.visible > since
-                    stack.append((child, trans[q][a], (path, a, o), child_full))
+                    stack.append((child, succ[a], (path, a, o), child_full))
         return None

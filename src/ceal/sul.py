@@ -8,14 +8,21 @@ symbol may equal the original; the effective flip rate per symbol is
 rate * (n - 1) / n for an alphabet of size n.
 
 The noise stream is fixed per symbol: for each symbol in order, one
-``random()`` draw, then one ``randrange(n)`` draw only when it hits. Seeded
-runs therefore depend only on which words are probed, in which order.
+``random()`` draw, then one bounded draw below n only when it hits. A
+bounded draw (randbelow) reads n.bit_length() bits from ``getrandbits``
+until they fall below n, which is what ``randrange(n)`` does inside, so it
+makes the same draws and returns the same symbol without the cost of
+randrange's argument checks. Seeded runs therefore depend only on which
+words are probed, in which order.
 
-A probe under output or no noise remembers the noise-free output of the
-last word it ran on the target, so voting the same word runs the target
-once and then only draws noise. The memo holds one entry and is dropped
-when the system's target is replaced. Input noise changes the executed
-word, so it always runs the target.
+A probe remembers the noise-free Trace of the last word it ran on the
+target, so voting the same word runs the target once and then only draws
+noise. A probe whose noise hit no symbol returns that Trace object as it
+is; a new Trace is built only when the noise hit a symbol. Under input
+noise the memo answers whenever the executed word is the memoized word; a
+perturbed word is run on the target without replacing the memo, so the
+word being voted stays memoized. The memo holds one entry and is dropped
+when the system's target is replaced.
 
 majority_query is the repeated-voting wrapper a conventional teacher uses to
 answer membership queries over a noisy system.
@@ -30,6 +37,19 @@ from typing import Optional
 from .mealy import MealyMachine, Trace, Word
 
 NOISE_KINDS = ("none", "input", "output")
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1: the same getrandbits draws, the same result.
+
+    Draws n.bit_length() random bits until they read below n, as randrange
+    does inside, without its argument checks.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 class BudgetExhausted(RuntimeError):
@@ -55,15 +75,21 @@ class NoiseModel:
         return cls(kind, rate, random.Random(f"{seed}:noise"))
 
     def perturb(self, word: Word, alphabet_size: int) -> Word:
-        """Each symbol independently replaced by a uniform draw with prob rate."""
+        """Each symbol independently replaced by a uniform draw with prob rate.
+
+        Returns word itself when no symbol is hit.
+        """
         if self.kind == "none" or self.rate == 0.0:
             return word
-        draw, replace, rate = self.rng.random, self.rng.randrange, self.rate
-        out = list(word)
-        for i in range(len(out)):
+        rng, rate = self.rng, self.rate
+        draw = rng.random
+        out = None
+        for i in range(len(word)):
             if draw() < rate:
-                out[i] = replace(alphabet_size)
-        return tuple(out)
+                if out is None:
+                    out = list(word)
+                out[i] = randbelow(rng, alphabet_size)
+        return word if out is None else tuple(out)
 
 
 @dataclass
@@ -76,14 +102,15 @@ class TestMeter:
     mq_symbols: int = 0
 
     def charge(self, n_symbols: int, phase: str) -> None:
-        self.tests += 1
-        self.symbols += n_symbols
+        """Count one test of n_symbols; an unknown phase raises and counts nothing."""
         if phase == "eq":
             self.eq_symbols += n_symbols
         elif phase == "mq":
             self.mq_symbols += n_symbols
         else:
             raise ValueError(f"unknown meter phase {phase!r}")
+        self.tests += 1
+        self.symbols += n_symbols
 
 
 @dataclass(frozen=True)
@@ -123,9 +150,11 @@ class SimulatedSystem:
     @target.setter
     def target(self, machine: MealyMachine) -> None:
         self._target = machine
-        # the last word run noise-free on this target, and its outputs
-        self._memo_word: Optional[Word] = None
-        self._memo_outputs: Word = ()
+        self._n_inputs = len(machine.inputs)
+        self._n_outputs = len(machine.outputs)
+        # the noise-free trace of the last word run on this target; the empty
+        # word's trace is exact for any machine
+        self._memo = Trace((), ())
 
     def probe(self, word: Word, phase: str = "mq") -> Trace:
         """One reset + one word on the system; returns the trace as observed.
@@ -136,21 +165,18 @@ class SimulatedSystem:
         if self.max_tests is not None and self.meter.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
-        target = self._target
-        if noise.kind == "input":
-            executed = noise.perturb(word, len(target.inputs))
-            outputs = target.run(executed)
-        else:
-            executed = word
-            if word == self._memo_word:
-                outputs = self._memo_outputs
-            else:
-                outputs = target.run(word)
-                self._memo_word, self._memo_outputs = word, outputs
-            if noise.kind == "output":
-                outputs = noise.perturb(outputs, len(target.outputs))
+        executed = noise.perturb(word, self._n_inputs) if noise.kind == "input" else word
+        memo = self._memo
+        if executed != memo.inputs:
+            memo = Trace(executed, self._target.run(executed))
+            if executed is word:
+                self._memo = memo
         self.meter.charge(len(executed), phase)
-        return Trace(executed, outputs)
+        if noise.kind == "output":
+            outputs = noise.perturb(memo.outputs, self._n_outputs)
+            if outputs is not memo.outputs:
+                return Trace(executed, outputs)
+        return memo
 
 
 def majority_query(
@@ -170,7 +196,7 @@ def majority_query(
     agreed = 1
     while agreed < policy.min_repeats:
         out = probe(word, phase).outputs
-        if out != first:
+        if out is not first and out != first:
             break
         agreed += 1
     else:

@@ -10,7 +10,8 @@ same teacher calls in the same order and reach the same tables. The
 hypothesis-log reference fingerprints every record it is given. The
 characterization-set reference scans all state pairs on every pass. The
 minimization reference always rebuilds its result, even from a machine that
-is already canonical.
+is already canonical. The sampler reference makes every bounded draw with
+``randrange``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 from collections import Counter, deque
 from typing import Optional, Union
 
+from ceal.eqtest import PreparedSampler
 from ceal.learners import InconsistentTeacher, Learner
 from ceal.mealy import MealyMachine, Trace, Word, canonical_fingerprint, prefixes
 from ceal.obstree import conflicts
@@ -225,6 +227,27 @@ def reference_perturb(noise: NoiseModel, word: Word, alphabet_size: int) -> Word
         rng.randrange(alphabet_size) if rng.random() < noise.rate else s
         for s in word
     )
+
+
+def reference_infix(sampler: PreparedSampler, rng: random.Random) -> Word:
+    """Geometric-length uniform infix, its symbols drawn with randrange."""
+    stop = 1.0 / (1.0 + sampler.cfg.mean_infix)
+    k = 0
+    while rng.random() >= stop and k < sampler.cfg.max_len:
+        k += 1
+    return tuple(rng.randrange(sampler.n_inputs) for _ in range(k))
+
+
+def reference_draw(sampler: PreparedSampler, rng: random.Random) -> Word:
+    """PreparedSampler.draw with its access and suffix indices from randrange."""
+    if sampler.cfg.method == "random_walk":
+        return reference_infix(sampler, rng)[: sampler.cfg.max_len]
+    word = (
+        sampler.accesses[rng.randrange(len(sampler.accesses))]
+        + reference_infix(sampler, rng)
+        + sampler.suffixes[rng.randrange(len(sampler.suffixes))]
+    )
+    return word[: sampler.cfg.max_len]
 
 
 class ReferenceSystem:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ceal.eqtest import (
+    METHODS,
     PreparedSampler,
     SamplerConfig,
     access_sequences,
@@ -17,7 +18,7 @@ from ceal.eqtest import (
 )
 from ceal.harness import load_target
 from ceal.mealy import Alphabet, MealyMachine, find_counterexample, minimize, random_machine
-from oracles import reference_characterization_set
+from oracles import reference_characterization_set, reference_draw
 
 SIGMA = Alphabet(("a", "b"))
 GAMMA = Alphabet(("0", "1"))
@@ -150,6 +151,33 @@ def test_sampler_draws_match_reference_suffixes(case):
         assert [sampler.draw(rng) for _ in range(300)] == [
             reference.draw(ref_rng) for _ in range(300)
         ]
+
+
+COUNTS = (1, 2, 3, 5, 8)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("mean_infix, max_len", [(4.0, 50), (0.0, 50), (6.0, 4)])
+@pytest.mark.parametrize("n_inputs", COUNTS)
+def test_sampler_draws_match_randrange_reference_draw_for_draw(method, mean_infix, max_len, n_inputs):
+    inputs = Alphabet(tuple(f"i{k}" for k in range(n_inputs)))
+    h = random_machine(6, inputs, GAMMA, seed=n_inputs)
+    sampler = PreparedSampler(h, SamplerConfig(method, mean_infix, max_len))
+    rng, ref_rng = random.Random(n_inputs), random.Random(n_inputs)
+    # sizes below, at and above powers of two, so rejected draws retry
+    shapes = [(n_access, n_suffix) for n_access in COUNTS for n_suffix in COUNTS]
+    longest = 0
+    for n_access, n_suffix in shapes if method == "randomized_wp" else shapes[:1]:
+        if method == "randomized_wp":
+            sampler.accesses = tuple((k % n_inputs,) * k for k in range(n_access))
+            sampler.suffixes = tuple((k % n_inputs,) * (k + 1) for k in range(n_suffix))
+        for _ in range(60):
+            word = sampler.draw(rng)
+            assert word == reference_draw(sampler, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            longest = max(longest, len(word))
+    if max_len < 50:
+        assert longest == max_len  # the cap was reached
 
 
 def test_sampler_config_validation():

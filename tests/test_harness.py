@@ -22,7 +22,7 @@ from ceal.harness import (
     run_mat,
 )
 from ceal.mealy import MealyMachine, write_dot
-from ceal.sul import RepeatPolicy
+from ceal.sul import RepeatPolicy, SimulatedSystem
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 LOCK = str(BENCH / "lock.dot")
@@ -176,6 +176,28 @@ def test_ceal_counts_prunes_under_noise():
         )
         total += run(cfg, seed).prunes
     assert total > 0  # wrong votes happen at this rate; each costs a prune
+
+
+@pytest.mark.parametrize("framework", ["ceal", "mat"])
+@pytest.mark.parametrize("noise_kind", ["output", "input"])
+def test_every_charged_test_is_one_probe_call(monkeypatch, framework, noise_kind):
+    probe = SimulatedSystem.probe
+    returned = [0]
+
+    def counted(self, word, phase="mq"):
+        trace = probe(self, word, phase)
+        returned[0] += 1
+        return trace
+
+    monkeypatch.setattr(SimulatedSystem, "probe", counted)
+    cfg = ExperimentConfig(
+        target=LOCK, framework=framework, repeats=RepeatPolicy(5, 10),
+        noise_kind=noise_kind, noise_rate=0.05, max_queries=20_000,
+    )
+    for seed in range(2):
+        returned[0] = 0
+        result = run(cfg, seed)
+        assert result.tests == returned[0] > 0
 
 
 # --- grid --------------------------------------------------------------------
@@ -382,8 +404,14 @@ def test_cli_grid_json_to_stdout(tmp_path, capsys):
         f"targets = {LOCK}\nrepeats = 1:1\nseeds = 0\n", encoding="utf-8"
     )
     assert main(["grid", "--config", str(config), "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    rows = json.loads(out)
     assert rows[0]["success_rate"] == 1.0
+    # the report ends its last line, once, on stdout and in --out
+    assert out.endswith("]\n") and not out.endswith("\n\n")
+    report = tmp_path / "report.json"
+    assert main(["grid", "--config", str(config), "--format", "json", "--out", str(report)]) == 0
+    assert report.read_text(encoding="utf-8") == out
 
 
 def test_cli_grid_missing_config(tmp_path, capsys):

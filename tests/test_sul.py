@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from ceal.sul import (
     SimulatedSystem,
     majority_query,
 )
+from ceal.sul import TestMeter as Meter
 from oracles import ReferenceSystem, reference_majority_query
 
 
@@ -41,6 +43,22 @@ def test_meter_phase_attribution(toggle):
     m = sys.meter
     assert (m.tests, m.symbols, m.mq_symbols, m.eq_symbols) == (3, 6, 1, 5)
     assert m.symbols == m.mq_symbols + m.eq_symbols
+
+
+def test_unknown_phase_raises_and_counts_nothing(toggle):
+    sys = SimulatedSystem(toggle, quiet("output", 0.5, seed=1))
+    sys.probe((0, 0), phase="eq")
+    before = replace(sys.meter)
+    with pytest.raises(ValueError):
+        sys.probe((0,), phase="bogus")
+    assert sys.meter == before
+    with pytest.raises(ValueError):
+        sys.meter.charge(3, "bogus")
+    assert sys.meter == before
+    fresh = Meter()
+    with pytest.raises(ValueError):
+        fresh.charge(3, "bogus")
+    assert fresh == Meter()
 
 
 def test_budget_exhausted_before_excess_probe(toggle):
@@ -164,6 +182,26 @@ def test_probe_memo_does_not_outlive_its_target(toggle, constant_x):
     assert sys.probe((0, 0)).outputs == (0, 0)
 
 
+@pytest.mark.parametrize("kind", ["input", "output"])
+def test_probes_of_one_word_share_one_target_run(monkeypatch, kind):
+    m = random_machine(4, Alphabet(("a", "b", "c")), Alphabet(("x", "y", "z")), seed=2)
+    runs = []
+    real_run = MealyMachine.run
+    monkeypatch.setattr(
+        MealyMachine, "run", lambda self, w, start=None: runs.append(w) or real_run(self, w, start)
+    )
+    sys = SimulatedSystem(m, quiet(kind, 0.1, seed=3))
+    word = (0, 1, 2, 1, 0)
+    traces = [sys.probe(word) for _ in range(200)]
+    clean = [t for t in traces if t == (word, real_run(m, word))]
+    noisy = [t for t in traces if t.inputs != word]
+    # the voted word runs once however often a perturbed word is run between
+    # its probes; a probe its noise missed returns the memoized trace itself
+    assert runs.count(word) == 1 and len(runs) == 1 + len(noisy)
+    assert max(sum(u is t for u in clean) for t in clean) > 100
+    assert len(clean) < len(traces)
+
+
 def _vote_words(rng: random.Random, n_inputs: int) -> list:
     """Seeded words in runs of repeats and alternations, so the memo hits and misses."""
     pool = [()] + [
@@ -187,10 +225,25 @@ def _mid_vote_budget(target, kind, rate, policy, words) -> int:
     raise AssertionError("no vote past the 30th word took two probes")
 
 
-@pytest.mark.parametrize("kind, rate", [("none", 0.0), ("input", 0.2), ("output", 0.2), ("output", 0.05)])
+NOISE_CASES = [
+    ("none", 0.0), ("input", 0.2), ("input", 1.0), ("output", 0.2), ("output", 0.05), ("output", 1.0)
+]
+
+
+# A bounded draw below n takes n.bit_length() bits, so at every output
+# alphabet size, a power of two or not, some draws are rejected and retried.
+@pytest.mark.parametrize(
+    "kind, rate, n_outputs",
+    [
+        pytest.param(kind, rate, n, id=f"{kind}-{rate}" + ("" if n == 3 else f"-{n}out"))
+        for n in (3, 1, 2, 5)
+        for kind, rate in NOISE_CASES
+    ],
+)
 @pytest.mark.parametrize("repeats", [(1, 1), (3, 5), (5, 10)])
-def test_vote_path_matches_reference_draw_for_draw(kind, rate, repeats):
-    inputs, outputs = Alphabet(("a", "b", "c")), Alphabet(("x", "y", "z"))
+def test_vote_path_matches_reference_draw_for_draw(kind, rate, n_outputs, repeats):
+    inputs = Alphabet(("a", "b", "c"))
+    outputs = Alphabet(tuple(f"o{k}" for k in range(n_outputs)))
     target = random_machine(5, inputs, outputs, seed=11)
     policy = RepeatPolicy(*repeats)
     words = _vote_words(random.Random(7), len(inputs))
