@@ -9,9 +9,7 @@ from .harness import (
     load_target,
     parse_grid_config,
     run,
-    run_ceal,
     run_grid,
-    run_mat,
 )
 from .learners import InconsistentTeacher, KVLearner, LStarLearner, PruneRequested
 from .mealy import (
@@ -76,9 +74,7 @@ __all__ = [
     "parse_grid_config",
     "random_machine",
     "run",
-    "run_ceal",
     "run_grid",
-    "run_mat",
     "sample_word",
     "select_final",
     "write_dot",

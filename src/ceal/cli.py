@@ -135,8 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"kinds: {', '.join(NOISE_KINDS)}")
     p_run.add_argument("--repeats", default="5:10", metavar="MIN:MAX",
                        help="voting repeats per query")
-    p_run.add_argument("--update-strategy", default="most_recent", choices=STRATEGIES)
-    p_run.add_argument("--selection", default="most_frequent", choices=STRATEGIES)
+    p_run.add_argument("--update-strategy", default="most_recent", choices=STRATEGIES,
+                       help="observation tree under ceal; ignored under mat")
+    p_run.add_argument("--selection", default="most_frequent", choices=STRATEGIES,
+                       help="final-model selection under ceal; ignored under mat, "
+                            "which keeps its latest hypothesis")
     p_run.add_argument("--sampler", default="randomized_wp", choices=METHODS)
     p_run.add_argument("--mean-infix", type=float, default=4.0)
     p_run.add_argument("--max-len", type=int, default=50)

@@ -1,11 +1,12 @@
 """Experiment orchestration: single runs, parameter grids, report emission.
 
-One run wires a learner to a noisy simulated system, either through the
-conflict-aware Reviser (``run_ceal``) or through the classical voting
-teacher with an answer cache (``run_mat``), and judges the final model
-against the noise-free target. A grid crosses targets, frameworks,
-learners, noise settings and repeat policies, runs every seed of every
-cell, and aggregates per-cell success rates and mean costs.
+One run (``run``) wires a learner through a Reviser and majority voting to
+a noisy simulated system, and judges the final model against the
+noise-free target. The frameworks differ in the Reviser's conflict
+policy: ceal prunes and restarts the learner, MAT collapses the run. A
+grid crosses targets, frameworks, learners, noise settings and repeat
+policies, runs every seed of every cell, and aggregates per-cell success
+rates and mean costs.
 
 Grid files are flat ``key = value`` text; list-valued keys take
 comma-separated entries. Recognized keys::
@@ -16,8 +17,8 @@ comma-separated entries. Recognized keys::
     noise     = none:0, output:0.05        # kind:rate pairs
     repeats   = 5:10                       # min:max voting pairs
     seeds     = 0..49                      # inclusive range, or 0,1,2
-    update_strategy = most_recent
-    selection = most_frequent
+    update_strategy = most_recent          # ceal only; MAT ignores it
+    selection = most_frequent              # ceal only; MAT ignores it
     sampler   = randomized_wp              # or random_walk
     mean_infix = 4.0
     max_len   = 50
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .eqtest import PreparedSampler, SamplerConfig
+from .eqtest import SamplerConfig
 from .learners import InconsistentTeacher, KVLearner, LStarLearner, PruneRequested
 from .mealy import (
     DotParseError,
@@ -92,7 +93,7 @@ class ExperimentConfig:
     noise_kind: str = "none"
     noise_rate: float = 0.0
     update_strategy: str = "most_recent"  # ignored under MAT
-    selection: str = "most_frequent"
+    selection: str = "most_frequent"  # ignored under MAT
     sampler: SamplerConfig = SamplerConfig()
     k_survive: int = 200
     max_queries: int = 200_000
@@ -139,18 +140,13 @@ class RunResult:
     terminated_by: str  # stability | query_cap | collapse
 
 
-class _MatCollapse(Exception):
-    """A voted answer contradicted the MAT cache; the run cannot continue."""
-
-
 class _VotingSystem:
     """System facade that majority-votes every probe behind one interface.
 
     Each requested word is re-run per the repeat policy and the agreed
-    output word is returned as a single trace, so the layer above sees a
-    denoised system. Used by run_ceal, whose reviser sees only voted
-    traces (run_mat votes inside its own query functions); budget
-    accounting stays on the wrapped system's meter.
+    output word is returned as a single trace, so the Reviser above sees a
+    denoised system. Both frameworks vote through it; budget accounting
+    stays on the wrapped system's meter.
     """
 
     def __init__(self, system: SimulatedSystem, policy: RepeatPolicy) -> None:
@@ -167,34 +163,18 @@ def load_target(path: str | Path) -> MealyMachine:
     return machine
 
 
-def _finish(
-    target: MealyMachine,
-    final: Optional[MealyMachine],
-    judged: bool,
-    meter,
-    prunes: int,
-    terminated_by: str,
-) -> RunResult:
-    success = judged and final is not None and find_counterexample(final, target) is None
-    fraction = meter.eq_symbols / meter.symbols if meter.symbols else 0.0
-    states = final.n_states if final is not None else 0
-    return RunResult(success, meter.tests, meter.symbols, fraction, states, prunes, terminated_by)
+def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None) -> RunResult:
+    """One learning session: learner <-> Reviser <-> voting <-> noisy system.
 
-
-def run_ceal(
-    cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None
-) -> RunResult:
-    """One conflict-aware session: learner <-> Reviser <-> noisy system.
-
-    Every probe the Reviser issues is majority-voted per cfg.repeats, the
-    same discipline the MAT runner uses, so the comparison between the
-    frameworks isolates conflict handling: a wrong voted answer collapses
-    a MAT run but only prunes and restarts here. The observation tree and
-    all counters persist across restarts. Hitting the query cap ends the
-    run, and the final model is still selected and judged.
+    Every probe is majority-voted per cfg.repeats in both frameworks, so
+    their comparison isolates conflict handling. Under ceal a conflict
+    prunes and restarts the learner, the final model is chosen per
+    cfg.selection, and an InconsistentTeacher from the learner propagates.
+    Under MAT the Reviser collapses on a most_recent tree: a conflict ends
+    the run unjudged as "collapse", and the final model is the latest
+    hypothesis. The tree and all counters persist across restarts. Hitting
+    the query cap ends the run, and the final model is still judged.
     """
-    if cfg.framework != "ceal":
-        raise ValueError("run_ceal requires framework='ceal'")
     if target is None:
         target = load_target(cfg.target)
     system = SimulatedSystem(
@@ -202,13 +182,15 @@ def run_ceal(
         NoiseModel.from_seed(cfg.noise_kind, cfg.noise_rate, seed),
         max_tests=cfg.max_queries,
     )
-    tree = MostRecentTree() if cfg.update_strategy == "most_recent" else MostFrequentTree()
+    mat = cfg.framework == "mat"
+    frequent = cfg.update_strategy == "most_frequent" and not mat
     reviser = Reviser(
-        tree,
+        MostFrequentTree() if frequent else MostRecentTree(),
         _VotingSystem(system, cfg.repeats),
         cfg.sampler,
         random.Random(f"{seed}:sampler"),
         k_survive=cfg.k_survive,
+        collapse=mat,
     )
 
     def teacher(word: Word) -> Word:
@@ -235,78 +217,24 @@ def run_ceal(
                 learner.restart()
     except BudgetExhausted:
         terminated_by = "query_cap"
-    final = select_final(log, cfg.selection) if log.latest is not None else None
-    return _finish(target, final, True, system.meter, reviser.prunes, terminated_by)
-
-
-def run_mat(
-    cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None
-) -> RunResult:
-    """One classical session: majority-voted queries with an answer cache.
-
-    Membership answers are voted once and cached; equivalence testing
-    samples words and votes each one directly against the system. Any
-    voted answer that contradicts the cache collapses the run: there is
-    no conflict-resolution story here, so the run is marked failed.
-    """
-    if cfg.framework != "mat":
-        raise ValueError("run_mat requires framework='mat'")
-    if target is None:
-        target = load_target(cfg.target)
-    system = SimulatedSystem(
-        target,
-        NoiseModel.from_seed(cfg.noise_kind, cfg.noise_rate, seed),
-        max_tests=cfg.max_queries,
-    )
-    cache = MostRecentTree()
-    sampler_rng = random.Random(f"{seed}:sampler")
-
-    def commit(trace: Trace) -> None:
-        if cache.update(trace):
-            raise _MatCollapse()
-
-    def teacher(word: Word) -> Word:
-        stored = cache.lookup(word)
-        if stored is not None:
-            return stored
-        outputs = majority_query(system, word, cfg.repeats, phase="mq")
-        commit(Trace(word, outputs))
-        return outputs
-
-    def sampled_eq(h: MealyMachine) -> Optional[Trace]:
-        sampler = PreparedSampler(h, cfg.sampler)
-        for _ in range(cfg.k_survive):
-            word = sampler.draw(sampler_rng)
-            outputs = majority_query(system, word, cfg.repeats, phase="eq")
-            commit(Trace(word, outputs))
-            if h.run(word) != outputs:
-                return Trace(word, outputs)
-        return None
-
-    learner = _LEARNER_CLASSES[cfg.learner](target.inputs, target.outputs, teacher)
-    last: Optional[MealyMachine] = None
-    terminated_by = "stability"
-    judged = True
-    try:
-        while True:
-            h = learner.build_hypothesis()
-            last = h
-            cex = sampled_eq(h)
-            if cex is None:
-                break
-            learner.refine(cex)
-    except BudgetExhausted:
-        terminated_by = "query_cap"
-    except (_MatCollapse, InconsistentTeacher):
+    except InconsistentTeacher:
+        if not mat:
+            raise
         terminated_by = "collapse"
-        judged = False
-    return _finish(target, last, judged, system.meter, 0, terminated_by)
-
-
-def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None) -> RunResult:
-    """Dispatch one seed of one cell to its framework's runner."""
-    runner = run_mat if cfg.framework == "mat" else run_ceal
-    return runner(cfg, seed, target)
+    final = None
+    if log.latest is not None:
+        final = select_final(log, "most_recent" if mat else cfg.selection)
+    success = (
+        terminated_by != "collapse"
+        and final is not None
+        and find_counterexample(final, target) is None
+    )
+    meter = system.meter
+    fraction = meter.eq_symbols / meter.symbols if meter.symbols else 0.0
+    states = final.n_states if final is not None else 0
+    return RunResult(
+        success, meter.tests, meter.symbols, fraction, states, reviser.prunes, terminated_by
+    )
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -4,7 +4,10 @@ Every raw system trace is integrated into the observation tree before any
 other use, and every answer handed upward is read back from the tree's
 language, never from the system directly. When an integration changes the
 tree's language non-additively the reviser emits the PRUNE signal, telling
-the learner its internal state may rest on retracted answers.
+the learner its internal state may rest on retracted answers. With
+``collapse`` set the reviser is a classical MAT teacher over the same tree:
+a conflict ends the session instead, and equivalence queries get no free
+counterexamples from the tree.
 
 The reviser also records every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
@@ -17,6 +20,7 @@ import random
 from typing import Optional, Union
 
 from .eqtest import PreparedSampler, SamplerConfig
+from .learners import InconsistentTeacher
 from .mealy import MealyMachine, Trace, Word, canonical_fingerprint, canonical_form
 from .obstree import MostFrequentTree, MostRecentTree
 from .sul import SimulatedSystem
@@ -93,6 +97,9 @@ class Reviser:
 
     The tree is the single source of truth for answers; the system is only
     consulted for words the tree cannot answer, and for equivalence testing.
+    Under collapse a conflict raises InconsistentTeacher rather than
+    pruning, and eq skips the tree check, so every counterexample costs
+    system tests, as with a classical teacher.
     """
 
     def __init__(
@@ -103,6 +110,7 @@ class Reviser:
         rng: random.Random,
         k_survive: int = 200,
         revision_ratio: float = 0.0,
+        collapse: bool = False,
     ) -> None:
         if not (0.0 <= revision_ratio <= 1.0):
             raise ValueError("revision_ratio must lie in [0,1]")
@@ -114,13 +122,19 @@ class Reviser:
         self.rng = rng
         self.k_survive = k_survive
         self.revision_ratio = revision_ratio
+        self.collapse = collapse
         self.prunes = 0
         self._memo: dict[str, int] = {}  # fingerprint -> version verified against
         self._revision_cursor = 0
 
     def apply(self, trace: Trace) -> QueryAnswer:
-        """Integrate one system trace; PRUNE iff it changed settled answers."""
+        """Integrate one system trace; PRUNE iff it changed settled answers.
+
+        Under collapse a conflict raises InconsistentTeacher instead.
+        """
         if self.tree.update(trace):
+            if self.collapse:
+                raise InconsistentTeacher("an observation contradicts a stored answer")
             self.prunes += 1
             return PRUNE
         return trace.outputs
@@ -167,13 +181,14 @@ class Reviser:
     ) -> Union[Trace, _PruneSignal, None]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
-        Requires a hypothesis consistent with the tree. Returns PRUNE on
-        conflict, a tree-confirmed counterexample trace on disagreement, and
-        None once k_survive consecutive probes produced neither. fp is as
-        for check; minimal is h's canonical minimal machine when the caller
-        already has it.
+        Requires a hypothesis consistent with the tree, unless under
+        collapse, which never checks the tree. Returns PRUNE on conflict (or
+        raises, under collapse), a tree-confirmed counterexample trace on
+        disagreement, and None once k_survive consecutive probes produced
+        neither. fp is as for check; minimal is h's canonical minimal
+        machine when the caller already has it.
         """
-        if self.check(h, fp) is not None:
+        if not self.collapse and self.check(h, fp) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
         sampler = PreparedSampler(h, self.sampler_cfg, minimal)
         survived = 0
@@ -192,10 +207,12 @@ class Reviser:
         """Equivalence query: record, check against the tree, then test.
 
         Never answers "yes": the None verdict only means the hypothesis
-        survived the configured amount of testing.
+        survived the configured amount of testing. Under collapse the tree
+        check is skipped.
         """
         fp = log.record(h)
-        found = self.check(h, fp)
-        if found is not None:
-            return found
+        if not self.collapse:
+            found = self.check(h, fp)
+            if found is not None:
+                return found
         return self.test(h, fp, log.minimal[fp])

@@ -11,7 +11,10 @@ hypothesis-log reference fingerprints every record it is given. The
 characterization-set reference scans all state pairs on every pass. The
 minimization reference always rebuilds its result, even from a machine that
 is already canonical. The sampler reference makes every bounded draw with
-``randrange``.
+``randrange``. The MAT session reference is the classical teacher written
+out by hand: a voted answer cache, and an equivalence test that votes each
+sampled word straight against the system; ``ceal.harness.run`` must give
+the same ``RunResult`` for every MAT session.
 """
 
 from __future__ import annotations
@@ -21,10 +24,25 @@ from collections import Counter, deque
 from typing import Optional, Union
 
 from ceal.eqtest import PreparedSampler
-from ceal.learners import InconsistentTeacher, Learner
-from ceal.mealy import MealyMachine, Trace, Word, canonical_fingerprint, prefixes
-from ceal.obstree import conflicts
-from ceal.sul import BudgetExhausted, NoiseModel, RepeatPolicy, TestMeter
+from ceal.harness import ExperimentConfig, RunResult
+from ceal.learners import InconsistentTeacher, KVLearner, Learner, LStarLearner
+from ceal.mealy import (
+    MealyMachine,
+    Trace,
+    Word,
+    canonical_fingerprint,
+    find_counterexample,
+    prefixes,
+)
+from ceal.obstree import MostRecentTree, conflicts
+from ceal.sul import (
+    BudgetExhausted,
+    NoiseModel,
+    RepeatPolicy,
+    SimulatedSystem,
+    TestMeter,
+    majority_query,
+)
 
 
 def is_prefix(u: Trace, t: Trace) -> bool:
@@ -507,3 +525,69 @@ class ReferenceKVLearner(Learner):
         # every prefix classifies as the hypothesis says; the mismatch symbol
         # itself then separates the reached state's access word from u[:m]
         self._split(self._leaves[state_after[m]], (u[m],), u[:m])
+
+
+class _MatCollapse(Exception):
+    """A voted answer contradicted the MAT cache; the run cannot continue."""
+
+
+def reference_run_mat(cfg: ExperimentConfig, seed: int, target: MealyMachine) -> RunResult:
+    """One classical session: majority-voted queries with an answer cache.
+
+    Membership answers are voted once and cached; equivalence testing
+    samples words and votes each one directly against the system. Any
+    voted answer that contradicts the cache collapses the run, unjudged.
+    """
+    system = SimulatedSystem(
+        target,
+        NoiseModel.from_seed(cfg.noise_kind, cfg.noise_rate, seed),
+        max_tests=cfg.max_queries,
+    )
+    cache = MostRecentTree()
+    sampler_rng = random.Random(f"{seed}:sampler")
+
+    def commit(trace: Trace) -> None:
+        if cache.update(trace):
+            raise _MatCollapse()
+
+    def teacher(word: Word) -> Word:
+        stored = cache.lookup(word)
+        if stored is not None:
+            return stored
+        outputs = majority_query(system, word, cfg.repeats, phase="mq")
+        commit(Trace(word, outputs))
+        return outputs
+
+    def sampled_eq(h: MealyMachine) -> Optional[Trace]:
+        sampler = PreparedSampler(h, cfg.sampler)
+        for _ in range(cfg.k_survive):
+            word = sampler.draw(sampler_rng)
+            outputs = majority_query(system, word, cfg.repeats, phase="eq")
+            commit(Trace(word, outputs))
+            if h.run(word) != outputs:
+                return Trace(word, outputs)
+        return None
+
+    learner_cls = {"lstar_rs": LStarLearner, "kv": KVLearner}[cfg.learner]
+    learner = learner_cls(target.inputs, target.outputs, teacher)
+    last: Optional[MealyMachine] = None
+    terminated_by = "stability"
+    judged = True
+    try:
+        while True:
+            h = learner.build_hypothesis()
+            last = h
+            cex = sampled_eq(h)
+            if cex is None:
+                break
+            learner.refine(cex)
+    except BudgetExhausted:
+        terminated_by = "query_cap"
+    except (_MatCollapse, InconsistentTeacher):
+        terminated_by = "collapse"
+        judged = False
+    meter = system.meter
+    success = judged and last is not None and find_counterexample(last, target) is None
+    fraction = meter.eq_symbols / meter.symbols if meter.symbols else 0.0
+    states = last.n_states if last is not None else 0
+    return RunResult(success, meter.tests, meter.symbols, fraction, states, 0, terminated_by)

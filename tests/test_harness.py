@@ -17,16 +17,16 @@ from ceal.harness import (
     parse_grid_config,
     parse_seed_list,
     run,
-    run_ceal,
     run_grid,
-    run_mat,
 )
 from ceal.mealy import MealyMachine, write_dot
 from ceal.sul import RepeatPolicy, SimulatedSystem
+from oracles import reference_run_mat
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 LOCK = str(BENCH / "lock.dot")
 SESSION = str(BENCH / "session.dot")
+PLAYER = str(BENCH / "player.dot")
 
 
 # --- configuration -----------------------------------------------------------
@@ -65,15 +65,6 @@ def test_config_normalizes_case_and_seed_container():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(target=LOCK, **kwargs)
-
-
-def test_runner_refuses_foreign_framework():
-    ceal_cfg = ExperimentConfig(target=LOCK, framework="ceal", seeds=(0,))
-    mat_cfg = ExperimentConfig(target=LOCK, framework="mat", seeds=(0,))
-    with pytest.raises(ValueError):
-        run_mat(ceal_cfg, 0)
-    with pytest.raises(ValueError):
-        run_ceal(mat_cfg, 0)
 
 
 # --- single runs -------------------------------------------------------------
@@ -154,6 +145,31 @@ def test_mat_collapses_under_heavy_noise_and_is_never_judged_successful():
     assert collapsed, "0.3 output noise should contradict the cache eventually"
     assert all(not r.success for r in collapsed)
     assert all(r.prunes == 0 for r in seen)
+
+
+def test_mat_matches_reference_run_for_run():
+    # MAT is the Reviser loop with collapse set; the hand-written classical
+    # teacher must give the same RunResult for every session. The tree and
+    # selection options are set to their non-default values, which MAT ignores.
+    outcomes = set()
+    for path in (LOCK, SESSION, PLAYER):
+        target = load_target(path)
+        for learner in ("lstar_rs", "kv"):
+            for kind, rate in (("none", 0.0), ("input", 0.05), ("input", 0.2),
+                               ("output", 0.05), ("output", 0.3)):
+                for repeats in (RepeatPolicy(1, 1), RepeatPolicy(3, 5)):
+                    cfg = ExperimentConfig(
+                        target=path, framework="mat", learner=learner,
+                        repeats=repeats, noise_kind=kind, noise_rate=rate,
+                        update_strategy="most_frequent", selection="most_frequent",
+                        max_queries=3_000,
+                    )
+                    for seed in range(4):
+                        got = run(cfg, seed, target)
+                        assert repr(got) == repr(reference_run_mat(cfg, seed, target)), (
+                            path, learner, kind, rate, repeats, seed)
+                        outcomes.add(got.terminated_by)
+    assert {"collapse", "stability"} <= outcomes
 
 
 def test_ceal_survives_noise_that_collapses_mat():

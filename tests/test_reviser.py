@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ceal.eqtest import SamplerConfig
+from ceal.learners import InconsistentTeacher
 from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, canonical_form, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import PRUNE, HypothesisLog, Reviser, select_final
@@ -15,7 +16,7 @@ from oracles import ReferenceHypothesisLog
 
 
 def make_reviser(target, tree=None, k_survive=50, revision_ratio=0.0, seed=0,
-                 noise=None, max_tests=None):
+                 noise=None, max_tests=None, collapse=False):
     system = SimulatedSystem(
         target,
         noise if noise is not None else NoiseModel.from_seed("none", 0.0, seed),
@@ -28,6 +29,7 @@ def make_reviser(target, tree=None, k_survive=50, revision_ratio=0.0, seed=0,
         random.Random(f"{seed}:sampler"),
         k_survive=k_survive,
         revision_ratio=revision_ratio,
+        collapse=collapse,
     )
 
 
@@ -187,6 +189,49 @@ def test_eq_minimizes_each_hypothesis_once(toggle, monkeypatch):
     assert r.system.meter.tests == 30
     # the fingerprint's minimization is reused by the sampler
     assert calls == [relabeled]
+
+
+def test_collapse_conflict_raises_before_counting_a_prune(toggle):
+    conflicting = [
+        lambda r: r.apply(Trace((0, 0), (0, 0))),
+        lambda r: r.read((0, 0, 0)),  # probed as (1, 1, 1)
+        lambda r: r.test(toggle),  # every probe answers all ones
+    ]
+    for system, action in zip((None, ScriptedSystem([(1, 1, 1)]), AllOnesSystem()),
+                              conflicting):
+        r = make_reviser(toggle, collapse=True)
+        r.apply(Trace((0, 0), (0, 1)))
+        if system is not None:
+            r.system = system
+        with pytest.raises(InconsistentTeacher):
+            action(r)
+        assert r.prunes == 0
+
+
+def test_collapse_eq_skips_the_tree_check(toggle, constant_x, monkeypatch):
+    r = make_reviser(toggle, k_survive=200, collapse=True)
+    r.apply(Trace((0, 0), (0, 1)))  # already contradicts constant_x
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a collapsing reviser never scans the tree")
+
+    monkeypatch.setattr(MostRecentTree, "find_disagreement", refuse)
+    log = HypothesisLog()
+    found = r.eq(constant_x, log)
+    assert isinstance(found, Trace)
+    assert constant_x.run(found.inputs) != found.outputs
+    assert r.system.meter.tests > 0  # paid for in sampled tests
+    assert r.system.meter.mq_symbols == 0
+    assert log.latest is constant_x
+
+
+def test_collapse_test_skips_the_consistency_guard(toggle, constant_x):
+    r = make_reviser(toggle, k_survive=200, collapse=True)
+    r.apply(Trace((0, 0), (0, 1)))  # would make test() raise RuntimeError
+    found = r.test(constant_x)
+    assert isinstance(found, Trace)
+    assert toggle.run(found.inputs) == found.outputs
+    assert r.prunes == 0
 
 
 def test_revision_ratio_revisits_oldest_words_in_order(toggle):
