@@ -1,6 +1,6 @@
 """Query learning of Mealy machines that survives conflicting observations."""
 
-from .eqtest import PreparedSampler, SamplerConfig, sample_word
+from .eqtest import PreparedSampler, SamplerConfig
 from .harness import (
     ExperimentConfig,
     RunResult,
@@ -25,7 +25,7 @@ from .mealy import (
     random_machine,
     write_dot,
 )
-from .obstree import MostFrequentTree, MostRecentTree, conflicts
+from .obstree import MostFrequentTree, MostRecentTree
 from .reviser import PRUNE, HypothesisLog, Reviser, select_final
 from .sul import (
     BudgetExhausted,
@@ -63,7 +63,6 @@ __all__ = [
     "Trace",
     "Word",
     "canonical_fingerprint",
-    "conflicts",
     "emit_report",
     "expand_grid",
     "find_counterexample",
@@ -75,7 +74,6 @@ __all__ = [
     "random_machine",
     "run",
     "run_grid",
-    "sample_word",
     "select_final",
     "write_dot",
 ]

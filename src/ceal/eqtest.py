@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .mealy import MealyMachine, Word, minimize
+from .mealy import MealyMachine, Word, minimize  # perfbench/tracer.py wraps it here
 from .sul import randbelow
 
 METHODS = ("random_walk", "randomized_wp")
@@ -44,7 +44,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.mean_infix < 0:
+        if not (self.mean_infix >= 0):  # also rejects NaN
             raise ValueError("mean_infix must be nonnegative")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
@@ -190,8 +190,3 @@ class PreparedSampler:
             + self.suffixes[randbelow(rng, len(self.suffixes))]
         )
         return word[: self.cfg.max_len]
-
-
-def sample_word(h: MealyMachine, cfg: SamplerConfig, rng: random.Random) -> Word:
-    """One test word for the hypothesis; see PreparedSampler for the shape."""
-    return PreparedSampler(h, cfg).draw(rng)

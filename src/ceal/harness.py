@@ -389,31 +389,36 @@ def expand_grid(
 ) -> list[ExperimentConfig]:
     """Cross a parsed grid config into one ExperimentConfig per cell.
 
-    Axes: targets x noise x frameworks x learners x repeats. Everything
-    else is shared by all cells. Target paths resolve against base_dir.
+    Axes: targets x noise x frameworks x learners x repeats; an axis given
+    as an empty list is rejected. Everything else is shared by all cells.
+    Target paths resolve against base_dir.
     """
     opts = dict(options)
 
     def take(key: str, default: str) -> str:
         return opts.pop(key, default)
 
+    def axis(key: str, default: str) -> list[str]:
+        items = _split_list(take(key, default))
+        if not items:
+            raise ValueError(f"grid config {key!r} is empty")
+        return items
+
     if "targets" not in opts:
         raise ValueError("grid config needs a 'targets' key")
-    targets = _split_list(opts.pop("targets"))
-    if not targets:
-        raise ValueError("grid config 'targets' is empty")
+    targets = axis("targets", "")
     if base_dir is not None:
         targets = [
             t if Path(t).is_absolute() else str(Path(base_dir) / t) for t in targets
         ]
-    frameworks = _split_list(take("frameworks", "ceal"))
-    learners = _split_list(take("learners", "lstar_rs"))
+    frameworks = axis("frameworks", "ceal")
+    learners = axis("learners", "lstar_rs")
     noises = []
-    for item in _split_list(take("noise", "none:0")):
+    for item in axis("noise", "none:0"):
         kind, rate = _parse_pair(item, "noise")
         noises.append((kind, float(rate)))
     repeat_policies = []
-    for item in _split_list(take("repeats", "5:10")):
+    for item in axis("repeats", "5:10"):
         lo, hi = _parse_pair(item, "repeats")
         repeat_policies.append(RepeatPolicy(int(lo), int(hi)))
     seeds = parse_seed_list(take("seeds", "0..19"))

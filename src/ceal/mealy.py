@@ -13,7 +13,7 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 Word = tuple[int, ...]
 
@@ -28,12 +28,6 @@ class Trace(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.inputs)
-
-
-def prefixes(trace: Trace) -> Iterator[Trace]:
-    """All prefixes of a trace, from (ε, ε) up to the trace itself."""
-    for k in range(len(trace.inputs) + 1):
-        yield Trace(trace.inputs[:k], trace.outputs[:k])
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,9 @@ class MealyMachine:
     transitions[q][a] is the successor state, emissions[q][a] the output
     symbol produced while reading input a in state q. Immutable after
     construction; all operations that look like mutation build new machines.
+    Machines compare and hash by their alphabets, initial state and tables;
+    the hash is computed once, at construction, since machines serve as
+    dict keys.
     """
 
     inputs: Alphabet
@@ -83,6 +80,7 @@ class MealyMachine:
     transitions: tuple[tuple[int, ...], ...]
     emissions: tuple[tuple[int, ...], ...]
     _symbols: frozenset[int] = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_symbols", frozenset(range(len(self.inputs))))
@@ -102,6 +100,11 @@ class MealyMachine:
                     raise ValueError(f"state {q}, input {a}: successor out of range")
                 if not (0 <= self.emissions[q][a] < no):
                     raise ValueError(f"state {q}, input {a}: output symbol out of range")
+        key = (self.inputs, self.outputs, self.initial, self.transitions, self.emissions)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_states(self) -> int:
@@ -240,20 +243,17 @@ def minimize(m: MealyMachine) -> MealyMachine:
     return MealyMachine(m.inputs, m.outputs, 0, tuple(new_trans), tuple(new_emit))
 
 
-def canonical_form(m: MealyMachine) -> tuple[str, MealyMachine]:
-    """canonical_fingerprint(m) together with minimize(m), the machine it digests."""
+def canonical_fingerprint(m: MealyMachine) -> str:
+    """Text digest that coincides exactly for language-equivalent machines.
+
+    SHA-256 of minimize(m)'s alphabets and tables: minimization plus BFS
+    renumbering yields a canonical form. It is stable and serializable, for
+    use outside a session; within a session, hypotheses are keyed by the
+    canonical minimal machine itself (see ceal.reviser.HypothesisLog).
+    """
     mm = minimize(m)
     blob = repr((mm.inputs.symbols, mm.outputs.symbols, mm.transitions, mm.emissions))
-    return hashlib.sha256(blob.encode()).hexdigest(), mm
-
-
-def canonical_fingerprint(m: MealyMachine) -> str:
-    """Digest that coincides exactly for language-equivalent machines.
-
-    Minimization plus BFS renumbering yields a canonical form; the digest
-    covers both tables and both alphabets.
-    """
-    return canonical_form(m)[0]
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def find_counterexample(m1: MealyMachine, m2: MealyMachine) -> Optional[Trace]:

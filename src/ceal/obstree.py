@@ -10,10 +10,10 @@ expose a deterministic lookup language:
   resolved toward the most recently observed entry.
 
 In both trees every node maps each input symbol to its selected
-(child, output) in `edges`, so lookup, language and the traversals read the
-same structure and the two classes differ only in how `update` keeps it
-current. MostFrequentTree parks the entries that lost the selection in a
-separate, lazily created store next to `edges`.
+(child, output) in `edges`, so lookup and the traversals read the same
+structure and the two classes differ only in how `update` keeps it current.
+MostFrequentTree parks the entries that lost the selection in a separate,
+lazily created store next to `edges`.
 
 `update` reports whether the observation changed the stored language
 non-additively (some previously-answered word now answers differently or not
@@ -29,16 +29,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .mealy import MealyMachine, Trace, Word
-
-
-def conflicts(t1: Trace, t2: Trace) -> bool:
-    """True when some common input prefix of the traces has differing outputs."""
-    for i1, o1, i2, o2 in zip(t1.inputs, t1.outputs, t2.inputs, t2.outputs):
-        if i1 != i2:
-            return False
-        if o1 != o2:
-            return True
-    return False
 
 
 class _RNode:
@@ -106,17 +96,6 @@ class _SelectedEdges:
             node, o = edge[0], edge[1]
             out.append(o)
         return tuple(out)
-
-    def language(self) -> set[Trace]:
-        """Every selected trace, including (ε, ε); prefix-closed and functional."""
-        result: set[Trace] = set()
-        stack: list[tuple[_Node, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            result.add(Trace(ins, outs))
-            for a, (child, o) in node.edges.items():
-                stack.append((child, ins + (a,), outs + (o,)))
-        return result
 
     def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
         """Maximal selected trace whose leaf has the smallest creation id above after_uid."""

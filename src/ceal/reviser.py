@@ -11,7 +11,10 @@ counterexamples from the tree.
 
 The reviser also records every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
-by budget rather than by a clean termination.
+by budget rather than by a clean termination. Within a session a hypothesis
+is identified by its canonical minimal machine: minimize renumbers states
+in BFS order, so two machines share a language exactly when their minimal
+machines compare equal.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
+from . import mealy
 from .eqtest import PreparedSampler, SamplerConfig
 from .learners import InconsistentTeacher
-from .mealy import MealyMachine, Trace, Word, canonical_fingerprint, canonical_form
+from .mealy import MealyMachine, Trace, Word
+from .mealy import canonical_fingerprint  # noqa: F401 - perfbench/tracer.py wraps it here
 from .obstree import MostFrequentTree, MostRecentTree
 from .sul import SimulatedSystem
 
@@ -43,52 +48,50 @@ Tree = Union[MostRecentTree, MostFrequentTree]
 class HypothesisLog:
     """Occurrence counts of proposed hypotheses, up to language equivalence.
 
+    Each hypothesis is keyed by its canonical minimal machine, which record
+    returns so the checks and the test that follow need not minimize again.
     A learner restarted after a prune mostly re-proposes machines it has
-    proposed before, so the log memoizes each machine's fingerprint. The
-    memo is keyed by the machine itself: MealyMachine hashes and compares by
-    its alphabets, initial state and tables, which are all the fingerprint
-    depends on. It lives as long as the log, i.e. one session. Next to each
-    fingerprint the log keeps the canonical minimal machine it digests, in
-    `minimal`, so the equivalence test that follows need not minimize again.
+    proposed before, so the minimal machine is memoized per table, for as
+    long as the log lives, i.e. one session. representatives keeps, per
+    key, the first table proposed with that language.
     """
 
     def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-        self.representatives: dict[str, MealyMachine] = {}
-        self.first_seen: dict[str, int] = {}
+        self.counts: dict[MealyMachine, int] = {}
+        self.representatives: dict[MealyMachine, MealyMachine] = {}
+        self.first_seen: dict[MealyMachine, int] = {}
         self.latest: Optional[MealyMachine] = None
         self.total = 0
-        self.minimal: dict[str, MealyMachine] = {}
-        self._fingerprints: dict[MealyMachine, str] = {}
+        self._minimal: dict[MealyMachine, MealyMachine] = {}
 
-    def record(self, h: MealyMachine) -> str:
-        fp = self._fingerprints.get(h)
-        if fp is None:
-            fp, minimal = canonical_form(h)
-            self._fingerprints[h] = fp
-            self.minimal[fp] = minimal
+    def record(self, h: MealyMachine) -> MealyMachine:
+        minimal = self._minimal.get(h)
+        if minimal is None:
+            # via the module, where perfbench/tracer.py wraps minimize
+            minimal = self._minimal[h] = mealy.minimize(h)
         self.latest = h
         self.total += 1
-        if fp not in self.counts:
-            self.counts[fp] = 0
-            self.representatives[fp] = h
-            self.first_seen[fp] = self.total
-        self.counts[fp] += 1
-        return fp
+        if minimal not in self.counts:
+            self.counts[minimal] = 0
+            self.representatives[minimal] = h
+            self.first_seen[minimal] = self.total
+        self.counts[minimal] += 1
+        return minimal
 
 
 def select_final(log: HypothesisLog, strategy: str) -> MealyMachine:
     """Pick the run's final model: the latest, or the most frequent one.
 
-    Frequency ties break toward the fingerprint first seen most recently.
+    Frequency ties break toward the language first seen most recently. The
+    result is a table the learner proposed, not its minimal machine.
     """
     if log.latest is None:
         raise ValueError("no hypotheses were recorded")
     if strategy == "most_recent":
         return log.latest
     if strategy == "most_frequent":
-        fp = max(log.counts, key=lambda f: (log.counts[f], log.first_seen[f]))
-        return log.representatives[fp]
+        key = max(log.counts, key=lambda m: (log.counts[m], log.first_seen[m]))
+        return log.representatives[key]
     raise ValueError(f"unknown selection strategy {strategy!r}")
 
 
@@ -124,7 +127,7 @@ class Reviser:
         self.revision_ratio = revision_ratio
         self.collapse = collapse
         self.prunes = 0
-        self._memo: dict[str, int] = {}  # fingerprint -> version verified against
+        self._memo: dict[MealyMachine, int] = {}  # minimal machine -> version verified against
         self._revision_cursor = 0
 
     def apply(self, trace: Trace) -> QueryAnswer:
@@ -146,20 +149,22 @@ class Reviser:
             return stored
         return self.apply(self.system.probe(word, phase="mq"))
 
-    def check(self, h: MealyMachine, fp: Optional[str] = None) -> Optional[Trace]:
+    def check(
+        self, h: MealyMachine, minimal: Optional[MealyMachine] = None
+    ) -> Optional[Trace]:
         """Scan the tree for a stored trace the hypothesis mislabels.
 
         Costs zero system tests. Scans are incremental: once a hypothesis
         (up to language equivalence) has been verified against the whole
-        tree, later scans cover only the parts touched since. fp is h's
-        canonical fingerprint when the caller already has it.
+        tree, later scans cover only the parts touched since. minimal is
+        minimize(h) when the caller already has it.
         """
-        if fp is None:
-            fp = canonical_fingerprint(h)
-        since = self._memo.get(fp, -1)
+        if minimal is None:
+            minimal = mealy.minimize(h)
+        since = self._memo.get(minimal, -1)
         found = self.tree.find_disagreement(h, since=since)
         if found is None:
-            self._memo[fp] = self.tree.version
+            self._memo[minimal] = self.tree.version
         return found
 
     def _draw_word(self, sampler: PreparedSampler) -> Word:
@@ -174,10 +179,7 @@ class Reviser:
         return sampler.draw(self.rng)
 
     def test(
-        self,
-        h: MealyMachine,
-        fp: Optional[str] = None,
-        minimal: Optional[MealyMachine] = None,
+        self, h: MealyMachine, minimal: Optional[MealyMachine] = None
     ) -> Union[Trace, _PruneSignal, None]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
@@ -185,10 +187,9 @@ class Reviser:
         collapse, which never checks the tree. Returns PRUNE on conflict (or
         raises, under collapse), a tree-confirmed counterexample trace on
         disagreement, and None once k_survive consecutive probes produced
-        neither. fp is as for check; minimal is h's canonical minimal
-        machine when the caller already has it.
+        neither. minimal is as for check.
         """
-        if not self.collapse and self.check(h, fp) is not None:
+        if not self.collapse and self.check(h, minimal) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
         sampler = PreparedSampler(h, self.sampler_cfg, minimal)
         survived = 0
@@ -210,9 +211,9 @@ class Reviser:
         survived the configured amount of testing. Under collapse the tree
         check is skipped.
         """
-        fp = log.record(h)
+        minimal = log.record(h)
         if not self.collapse:
-            found = self.check(h, fp)
+            found = self.check(h, minimal)
             if found is not None:
                 return found
-        return self.test(h, fp, log.minimal[fp])
+        return self.test(h, minimal)

@@ -1,5 +1,7 @@
 """Reference evaluators for the observation trees, the vote path and the learners.
 
+The trace helpers (prefixes, conflicts), a tree's whole selected language
+and a one-off sampler draw are spelled-out views that only the tests read.
 The tree references rebuild the expected stored language directly from an
 observation stream, without any incremental bookkeeping, so the tree
 implementations can be checked against them wholesale. The vote-path
@@ -7,23 +9,25 @@ references are the straightforward probe, noise and voting code that the
 optimized ``ceal.sul`` must match draw for draw. The learner references
 recompute every row and sift from scratch; ``ceal.learners`` must make the
 same teacher calls in the same order and reach the same tables. The
-hypothesis-log reference fingerprints every record it is given. The
-characterization-set reference scans all state pairs on every pass. The
-minimization reference always rebuilds its result, even from a machine that
-is already canonical. The sampler reference makes every bounded draw with
-``randrange``. The MAT session reference is the classical teacher written
-out by hand: a voted answer cache, and an equivalence test that votes each
-sampled word straight against the system; ``ceal.harness.run`` must give
-the same ``RunResult`` for every MAT session.
+hypothesis-log reference fingerprints every record it is given and keys by
+that string digest, where ``ceal.reviser.HypothesisLog`` keys by the
+canonical minimal machine. The characterization-set reference scans all
+state pairs on every pass. The minimization reference always rebuilds its
+result, even from a machine that is already canonical. The sampler
+reference makes every bounded draw with ``randrange``. The MAT session
+reference is the classical teacher written out by hand: a voted answer
+cache, and an equivalence test that votes each sampled word straight
+against the system; ``ceal.harness.run`` must give the same ``RunResult``
+for every MAT session.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from ceal.eqtest import PreparedSampler
+from ceal.eqtest import PreparedSampler, SamplerConfig
 from ceal.harness import ExperimentConfig, RunResult
 from ceal.learners import InconsistentTeacher, KVLearner, Learner, LStarLearner
 from ceal.mealy import (
@@ -32,9 +36,8 @@ from ceal.mealy import (
     Word,
     canonical_fingerprint,
     find_counterexample,
-    prefixes,
 )
-from ceal.obstree import MostRecentTree, conflicts
+from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.sul import (
     BudgetExhausted,
     NoiseModel,
@@ -43,6 +46,39 @@ from ceal.sul import (
     TestMeter,
     majority_query,
 )
+
+
+def prefixes(trace: Trace) -> Iterator[Trace]:
+    """All prefixes of a trace, from (ε, ε) up to the trace itself."""
+    for k in range(len(trace.inputs) + 1):
+        yield Trace(trace.inputs[:k], trace.outputs[:k])
+
+
+def conflicts(t1: Trace, t2: Trace) -> bool:
+    """True when some common input prefix of the traces has differing outputs."""
+    for i1, o1, i2, o2 in zip(t1.inputs, t1.outputs, t2.inputs, t2.outputs):
+        if i1 != i2:
+            return False
+        if o1 != o2:
+            return True
+    return False
+
+
+def language(tree: Union[MostRecentTree, MostFrequentTree]) -> set[Trace]:
+    """Every selected trace of the tree, including (ε, ε); prefix-closed and functional."""
+    result: set[Trace] = set()
+    stack = [(tree.root, (), ())]
+    while stack:
+        node, ins, outs = stack.pop()
+        result.add(Trace(ins, outs))
+        for a, (child, o) in node.edges.items():
+            stack.append((child, ins + (a,), outs + (o,)))
+    return result
+
+
+def sample_word(h: MealyMachine, cfg: SamplerConfig, rng: random.Random) -> Word:
+    """One test word for the hypothesis; see PreparedSampler for the shape."""
+    return PreparedSampler(h, cfg).draw(rng)
 
 
 def is_prefix(u: Trace, t: Trace) -> bool:

@@ -12,7 +12,7 @@ import random
 import time
 from pathlib import Path
 
-from oracles import replay_heaviest_wins, replay_latest_wins
+from oracles import language, prefixes, replay_heaviest_wins, replay_latest_wins
 
 from ceal.eqtest import SamplerConfig
 from ceal.harness import ExperimentConfig, _VotingSystem, emit_report, run, run_grid
@@ -23,7 +23,6 @@ from ceal.mealy import (
     Trace,
     canonical_fingerprint,
     find_counterexample,
-    prefixes,
     random_machine,
 )
 from ceal.obstree import MostFrequentTree, MostRecentTree
@@ -68,7 +67,7 @@ def test_criterion_01_most_recent_language_oracle():
         tree = MostRecentTree()
         for obs in stream:
             tree.update(obs)
-        assert tree.language() == replay_latest_wins(stream), f"stream {i}"
+        assert language(tree) == replay_latest_wins(stream), f"stream {i}"
         checked += 1
     elapsed = time.monotonic() - t0
     _verdict(1, checked == 1000 and elapsed < 10.0,
@@ -83,7 +82,7 @@ def test_criterion_02_most_frequent_language_oracle():
         tree = MostFrequentTree()
         for obs in stream:
             tree.update(obs)
-        assert tree.language() == replay_heaviest_wins(stream), f"stream {i}"
+        assert language(tree) == replay_heaviest_wins(stream), f"stream {i}"
         checked += 1
     elapsed = time.monotonic() - t0
     _verdict(2, checked == 1000 and elapsed < 10.0,
@@ -119,10 +118,10 @@ def test_criterion_03_prune_iff_non_additive_update():
         snapshots: list[tuple[bool, bool]] = []  # (flagged, non_additive)
 
         def spy_update(trace, _tree=tree, _real=real_update):
-            before = _tree.language()
+            before = language(_tree)
             flagged = _real(trace)
             events.append(("update", trace))
-            snapshots.append((flagged, not before <= _tree.language()))
+            snapshots.append((flagged, not before <= language(_tree)))
             return flagged
 
         tree.update = spy_update
@@ -172,8 +171,8 @@ def test_criterion_04_conflicting_update_replay():
         assert tree.update(obs) is False
     conflicted = tree.update(tr("aaa", "abb"))
     expected = set(prefixes(tr("aaa", "abb"))) | set(prefixes(tr("ab", "ab")))
-    ok = conflicted is True and tree.language() == expected
-    _verdict(4, ok, f"conflict flagged, surviving language has {len(tree.language())} traces")
+    ok = conflicted is True and language(tree) == expected
+    _verdict(4, ok, f"conflict flagged, surviving language has {len(language(tree))} traces")
 
 
 def test_criterion_05_noise_free_convergence():

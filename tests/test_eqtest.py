@@ -14,11 +14,10 @@ from ceal.eqtest import (
     SamplerConfig,
     access_sequences,
     characterization_set,
-    sample_word,
 )
 from ceal.harness import load_target
 from ceal.mealy import Alphabet, MealyMachine, find_counterexample, minimize, random_machine
-from oracles import reference_characterization_set, reference_draw
+from oracles import reference_characterization_set, reference_draw, sample_word
 
 SIGMA = Alphabet(("a", "b"))
 GAMMA = Alphabet(("0", "1"))
@@ -185,6 +184,8 @@ def test_sampler_config_validation():
         SamplerConfig(method="exhaustive")
     with pytest.raises(ValueError):
         SamplerConfig(mean_infix=-1)
+    with pytest.raises(ValueError):
+        SamplerConfig(mean_infix=float("nan"))
     with pytest.raises(ValueError):
         SamplerConfig(max_len=0)
 

@@ -367,6 +367,17 @@ def test_expand_grid_rejects_unknown_keys_and_missing_targets():
         expand_grid({"seeds": "0..1"})
 
 
+@pytest.mark.parametrize("axis", ["targets", "frameworks", "learners", "noise", "repeats"])
+def test_grid_rejects_an_empty_axis(axis, tmp_path, capsys):
+    options = {"targets": LOCK, "seeds": "0", axis: " , "}
+    with pytest.raises(ValueError, match=axis):
+        expand_grid(options)
+    config = tmp_path / "empty.grid"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "is empty" in capsys.readouterr().err
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -391,6 +402,11 @@ def test_cli_run_text(capsys):
 def test_cli_run_bad_noise_flag(capsys):
     assert main(["run", "--target", LOCK, "--noise", "output"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_nan_mean_infix(capsys):
+    assert main(["run", "--target", LOCK, "--mean-infix", "nan", "--json"]) == 2
+    assert "mean_infix" in capsys.readouterr().err
 
 
 def test_cli_grid_writes_report_and_log(tmp_path, capsys):

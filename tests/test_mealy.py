@@ -16,11 +16,10 @@ from ceal.mealy import (
     find_counterexample,
     minimize,
     parse_dot,
-    prefixes,
     random_machine,
     write_dot,
 )
-from oracles import reference_minimize
+from oracles import prefixes, reference_minimize
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -333,6 +332,7 @@ def test_fingerprint_separates_on_random_pairs():
             same_fp = canonical_fingerprint(m1) == canonical_fingerprint(m2)
             same_lang = find_counterexample(m1, m2) is None
             assert same_fp == same_lang
+            assert (minimize(m1) == minimize(m2)) == same_lang
 
 
 def test_random_machine_deterministic_and_reachable():

@@ -8,8 +8,14 @@ from typing import Optional
 import pytest
 
 from ceal.mealy import Alphabet, MealyMachine, Trace, Word, random_machine
-from ceal.obstree import MostFrequentTree, MostRecentTree, conflicts
-from oracles import naive_disagreement, replay_heaviest_wins, replay_latest_wins
+from ceal.obstree import MostFrequentTree, MostRecentTree
+from oracles import (
+    conflicts,
+    language,
+    naive_disagreement,
+    replay_heaviest_wins,
+    replay_latest_wins,
+)
 
 EPS = Trace((), ())
 
@@ -34,7 +40,7 @@ def test_recent_tree_additive_growth():
     assert t.update(tr("00", "11")) is False  # shares the first edge
     assert t.lookup((0, 1)) == (1, 0)
     assert t.lookup((0, 0)) == (1, 1)
-    assert t.language() == {EPS, tr("0", "1"), tr("01", "10"), tr("00", "11")}
+    assert language(t) == {EPS, tr("0", "1"), tr("01", "10"), tr("00", "11")}
 
 
 def test_recent_tree_overwrite_prunes_subtree():
@@ -132,10 +138,10 @@ def test_recent_tree_matches_replay_oracle(seed, n_outputs):
     rng = random.Random(seed)
     stream = _random_stream(rng, 40, n_outputs)
     t = MostRecentTree()
-    prev = t.language()
+    prev = language(t)
     for k, obs in enumerate(stream):
         flagged = t.update(obs)
-        lang = t.language()
+        lang = language(t)
         assert lang == replay_latest_wins(stream[: k + 1])
         assert flagged == (not prev <= lang)
         prev = lang
@@ -146,10 +152,10 @@ def test_frequent_tree_matches_replay_oracle(seed, n_outputs):
     rng = random.Random(100 + seed)
     stream = _random_stream(rng, 40, n_outputs)
     t = MostFrequentTree()
-    prev = t.language()
+    prev = language(t)
     for k, obs in enumerate(stream):
         flagged = t.update(obs)
-        lang = t.language()
+        lang = language(t)
         assert lang == replay_heaviest_wins(stream[: k + 1])
         assert flagged == (not prev <= lang)
         prev = lang
@@ -190,9 +196,9 @@ def test_frequent_tree_flip_uncovers_churned_subtree():
     stream += [tr("011", "12" + z) for z in "021"]
     for obs in stream:
         assert t.update(obs) is False
-    assert t.language() == replay_heaviest_wins(stream)
+    assert language(t) == replay_heaviest_wins(stream)
     assert t.lookup((0, 1)) is None
-    old = _machine_answering(t.language(), 3)
+    old = _machine_answering(language(t), 3)
     assert t.find_disagreement(old) is None
     checked_at = t.version
 
@@ -201,7 +207,7 @@ def test_frequent_tree_flip_uncovers_churned_subtree():
     assert t.update(flip[1]) is True
     stream += flip
     expected = replay_heaviest_wins(stream)
-    assert t.language() == expected
+    assert language(t) == expected
     assert t.lookup((0, 1)) == (1, 2)
     assert t.lookup((0, 1, 1)) == (1, 2, 1)
 
@@ -260,10 +266,10 @@ def test_incremental_disagreement_scan_is_exact(tree_cls, seed, n_outputs):
                 outs[j] = (outs[j] + rng.randrange(1, n_outputs)) % n_outputs
         t.update(Trace(word, tuple(outs)))
         found = t.find_disagreement(machine, since=checked_at)
-        truth = naive_disagreement(t.language(), machine)
+        truth = naive_disagreement(language(t), machine)
         assert (found is not None) == truth
         if found is not None:
             assert machine.run(found.inputs) != found.outputs
-            assert found in t.language()
+            assert found in language(t)
         else:
             checked_at = t.version

@@ -8,7 +8,7 @@ import pytest
 
 from ceal.eqtest import SamplerConfig
 from ceal.learners import InconsistentTeacher
-from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, canonical_form, minimize
+from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import PRUNE, HypothesisLog, Reviser, select_final
 from ceal.sul import NoiseModel, SimulatedSystem
@@ -264,7 +264,7 @@ def test_hypothesis_log_counts_by_language(toggle, constant_x):
     assert sum(log.counts.values()) == log.total
 
 
-def test_fingerprint_memo_matches_fingerprinting_every_record(
+def test_minimal_machine_memo_matches_fingerprinting_every_record(
     toggle, constant_x, monkeypatch
 ):
     twin = MealyMachine(  # equal tables, built as separate objects
@@ -276,6 +276,7 @@ def test_fingerprint_memo_matches_fingerprinting_every_record(
         toggle.inputs, toggle.outputs, 1, ((1,), (0,)), ((1,), (0,)),
     )
     assert twin == toggle and twin is not toggle and twin.transitions is not toggle.transitions
+    assert hash(twin) == hash(toggle)
     assert relabeled != toggle
     sequence = [twin, constant_x, toggle, relabeled, twin, constant_x, relabeled, toggle]
 
@@ -283,24 +284,28 @@ def test_fingerprint_memo_matches_fingerprinting_every_record(
 
     def counting(h):
         calls.append(h)
-        return canonical_form(h)
+        return minimize(h)
 
-    monkeypatch.setattr("ceal.reviser.canonical_form", counting)
     log, ref = HypothesisLog(), ReferenceHypothesisLog()
     for h in sequence:
-        assert log.record(h) == ref.record(h)
+        with monkeypatch.context() as patch:
+            patch.setattr("ceal.mealy.minimize", counting)
+            key = log.record(h)
+        assert key == minimize(h)
+        assert canonical_fingerprint(key) == ref.record(h)
         assert log.latest is ref.latest
     assert calls == [twin, constant_x, relabeled]  # once per distinct table
-    assert log.counts == ref.counts and len(log.counts) == 2
-    assert log.first_seen == ref.first_seen
+
+    def by_fingerprint(keyed):
+        return {canonical_fingerprint(key): value for key, value in keyed.items()}
+
+    assert by_fingerprint(log.counts) == ref.counts and len(log.counts) == 2
+    assert by_fingerprint(log.first_seen) == ref.first_seen
     assert log.total == ref.total == len(sequence)
-    assert log.representatives.keys() == ref.representatives.keys()
+    representatives = by_fingerprint(log.representatives)
+    assert representatives.keys() == ref.representatives.keys()
     for fp, h in ref.representatives.items():
-        assert log.representatives[fp] is h
-    # the canonical minimal machine is kept next to each fingerprint
-    assert log.minimal.keys() == ref.counts.keys()
-    for h in sequence:
-        assert log.minimal[canonical_fingerprint(h)] == minimize(h)
+        assert representatives[fp] is h
 
 
 def test_select_final_strategies(toggle, constant_x):
