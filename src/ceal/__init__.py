@@ -26,7 +26,7 @@ from .mealy import (
     write_dot,
 )
 from .obstree import MostFrequentTree, MostRecentTree
-from .reviser import PRUNE, HypothesisLog, Reviser, select_final
+from .reviser import HypothesisLog, Reviser, select_final
 from .sul import (
     BudgetExhausted,
     NoiseModel,
@@ -51,7 +51,6 @@ __all__ = [
     "MostFrequentTree",
     "MostRecentTree",
     "NoiseModel",
-    "PRUNE",
     "PreparedSampler",
     "PruneRequested",
     "RepeatPolicy",

@@ -50,7 +50,7 @@ from .mealy import (
     parse_dot,
 )
 from .obstree import MostFrequentTree, MostRecentTree
-from .reviser import PRUNE, HypothesisLog, Reviser, select_final
+from .reviser import HypothesisLog, Reviser, select_final
 from .sul import (
     NOISE_KINDS,
     BudgetExhausted,
@@ -166,10 +166,12 @@ def load_target(path: str | Path) -> MealyMachine:
 def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None) -> RunResult:
     """One learning session: learner <-> Reviser <-> voting <-> noisy system.
 
-    Every probe is majority-voted per cfg.repeats in both frameworks, so
-    their comparison isolates conflict handling. Under ceal a conflict
-    prunes and restarts the learner, the final model is chosen per
-    cfg.selection, and an InconsistentTeacher from the learner propagates.
+    The learner asks reviser.read directly. Every probe is majority-voted
+    per cfg.repeats in both frameworks, so their comparison isolates
+    conflict handling. Under ceal a conflict raises PruneRequested, from a
+    membership query or from reviser.eq alike, and the one handler restarts
+    the learner; the final model is chosen per cfg.selection, and an
+    InconsistentTeacher from the learner propagates.
     Under MAT the Reviser collapses on a most_recent tree: a conflict ends
     the run unjudged as "collapse", and the final model is the latest
     hypothesis. The tree and all counters persist across restarts. Hitting
@@ -192,14 +194,7 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
         k_survive=cfg.k_survive,
         collapse=mat,
     )
-
-    def teacher(word: Word) -> Word:
-        answer = reviser.read(word)
-        if answer is PRUNE:
-            raise PruneRequested()
-        return answer
-
-    learner = _LEARNER_CLASSES[cfg.learner](target.inputs, target.outputs, teacher)
+    learner = _LEARNER_CLASSES[cfg.learner](target.inputs, target.outputs, reviser.read)
     log = HypothesisLog()
     terminated_by = "stability"
     try:
@@ -209,9 +204,6 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
                 verdict = reviser.eq(h, log)
                 if verdict is None:
                     break
-                if verdict is PRUNE:
-                    learner.restart()
-                    continue
                 learner.refine(verdict)
             except PruneRequested:
                 learner.restart()

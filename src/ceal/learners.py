@@ -1,8 +1,8 @@
 """Restartable membership-query learners: L* (Rivest-Schapire) and KV.
 
 A learner talks to exactly one dependency: a teacher callable mapping an
-input word to its full output word. Teacher adapters may raise
-PruneRequested from inside any query to signal that previously given
+input word to its full output word, such as Reviser.read. The teacher may
+raise PruneRequested from inside any query to signal that previously given
 answers were retracted; learners are written so that an unwind at a query
 boundary is always recoverable through restart(), which returns the learner
 to its freshly-constructed state. Answers are memoized per life because the

@@ -32,12 +32,14 @@ from .mealy import MealyMachine, Trace, Word
 
 
 class _RNode:
-    __slots__ = ("uid", "edges", "stamp")
+    __slots__ = ("uid", "edges", "stamp", "visible")
 
     def __init__(self, uid: int, stamp: int) -> None:
         self.uid = uid
         self.edges: dict[int, tuple[_RNode, int]] = {}
         self.stamp = stamp
+        # a node is selected from its creation on, until it is discarded
+        self.visible = stamp
 
 
 class _FNode:
@@ -58,8 +60,8 @@ class _FNode:
 _Node = Union[_RNode, _FNode]
 
 # A node's path from the root as a parent link: (parent's path, input, output),
-# None at the root. The disagreement scans push one link per node and build
-# the words only for the trace they return.
+# None at the root. The disagreement scan pushes one link per node and builds
+# the words only for the trace it returns.
 _Path = Optional[tuple]
 
 
@@ -97,6 +99,34 @@ class _SelectedEdges:
             out.append(o)
         return tuple(out)
 
+    def find_disagreement(self, machine: MealyMachine, since: int = -1) -> Optional[Trace]:
+        """Some stored trace the machine answers differently, or None.
+
+        A scan with since=v is exact for a machine known to agree with the
+        whole tree as of version v: disagreements can only appear in subtrees
+        whose content changed after v (stamp) or that became selected after
+        v (visible stamp), both maintained by update; dropping a subtree
+        alone never creates one. A MostRecentTree node is selected from its
+        creation on; a MostFrequentTree entry is selected again when a
+        weight flips.
+        """
+        trans, emit = machine.transitions, machine.emissions
+        # (node, state, path, full); full forces a complete subtree scan
+        stack: list[tuple[_Node, int, _Path, bool]] = [
+            (self.root, machine.initial, None, False)
+        ]
+        while stack:
+            node, q, path, full = stack.pop()
+            row, succ = emit[q], trans[q]
+            for a, (child, o) in node.edges.items():
+                if row[a] != o:
+                    return _trace((path, a, o))
+                # a leaf has no edges to check
+                if child.edges and (full or child.stamp > since or child.visible > since):
+                    child_full = full or child.visible > since
+                    stack.append((child, succ[a], (path, a, o), child_full))
+        return None
+
     def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
         """Maximal selected trace whose leaf has the smallest creation id above after_uid."""
         best: Optional[tuple[Trace, int]] = None
@@ -119,8 +149,9 @@ class MostRecentTree(_SelectedEdges):
         super().__init__(_RNode)
 
     # Bound in each class's own namespace, so that instrumentation can wrap
-    # one tree's lookup without touching the other's.
+    # one tree's traversals without touching the other's.
     lookup = _SelectedEdges.lookup
+    find_disagreement = _SelectedEdges.find_disagreement
 
     def update(self, trace: Trace) -> bool:
         """Store one observation; True iff the stored language shrank somewhere.
@@ -148,26 +179,6 @@ class MostRecentTree(_SelectedEdges):
             node.stamp = version
         return conflicted
 
-    def find_disagreement(self, machine: MealyMachine, since: int = -1) -> Optional[Trace]:
-        """Some stored trace the machine answers differently, or None.
-
-        A scan with since=v is exact for a machine known to agree with the
-        whole tree as of version v: disagreements can only appear in subtrees
-        stamped after v (pruning alone never creates one).
-        """
-        trans, emit = machine.transitions, machine.emissions
-        stack: list[tuple[_RNode, int, _Path]] = [(self.root, machine.initial, None)]
-        while stack:
-            node, q, path = stack.pop()
-            row, succ = emit[q], trans[q]
-            for a, (child, o) in node.edges.items():
-                if row[a] != o:
-                    return _trace((path, a, o))
-                # a leaf has no edges to check
-                if child.edges and child.stamp > since:
-                    stack.append((child, succ[a], (path, a, o)))
-        return None
-
 
 class MostFrequentTree(_SelectedEdges):
     """Weighted nondeterministic observation tree; the heaviest branch wins.
@@ -187,6 +198,7 @@ class MostFrequentTree(_SelectedEdges):
 
     # see MostRecentTree.lookup
     lookup = _SelectedEdges.lookup
+    find_disagreement = _SelectedEdges.find_disagreement
 
     def update(self, trace: Trace) -> bool:
         """Record one observation; True iff a selected branch changed underway.
@@ -233,27 +245,3 @@ class MostFrequentTree(_SelectedEdges):
             node = child
             node.stamp = version
         return conflicted
-
-    def find_disagreement(self, machine: MealyMachine, since: int = -1) -> Optional[Trace]:
-        """Like MostRecentTree.find_disagreement over the selected language.
-
-        A subtree is rescanned when its content changed (stamp) or when it
-        became newly selected through a weight flip (visible stamp); both are
-        maintained by update.
-        """
-        trans, emit = machine.transitions, machine.emissions
-        # (node, state, path, full); full forces a complete subtree scan
-        stack: list[tuple[_FNode, int, _Path, bool]] = [
-            (self.root, machine.initial, None, False)
-        ]
-        while stack:
-            node, q, path, full = stack.pop()
-            row, succ = emit[q], trans[q]
-            for a, (child, o) in node.edges.items():
-                if row[a] != o:
-                    return _trace((path, a, o))
-                # a leaf has no edges to check
-                if child.edges and (full or child.stamp > since or child.visible > since):
-                    child_full = full or child.visible > since
-                    stack.append((child, succ[a], (path, a, o), child_full))
-        return None

@@ -3,11 +3,12 @@
 Every raw system trace is integrated into the observation tree before any
 other use, and every answer handed upward is read back from the tree's
 language, never from the system directly. When an integration changes the
-tree's language non-additively the reviser emits the PRUNE signal, telling
-the learner its internal state may rest on retracted answers. With
-``collapse`` set the reviser is a classical MAT teacher over the same tree:
-a conflict ends the session instead, and equivalence queries get no free
-counterexamples from the tree.
+tree's language non-additively the reviser raises PruneRequested, telling
+the learner its internal state may rest on retracted answers. A learner
+asking through ``read`` unwinds on it, so ``read`` is a teacher as it
+stands. With ``collapse`` set the reviser is a classical MAT teacher over
+the same tree: a conflict raises InconsistentTeacher instead, ending the
+session, and equivalence queries get no free counterexamples from the tree.
 
 The reviser also records every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
@@ -24,23 +25,12 @@ from typing import Optional, Union
 
 from . import mealy
 from .eqtest import PreparedSampler, SamplerConfig
-from .learners import InconsistentTeacher
+from .learners import InconsistentTeacher, PruneRequested
 from .mealy import MealyMachine, Trace, Word
 from .mealy import canonical_fingerprint  # noqa: F401 - perfbench/tracer.py wraps it here
 from .obstree import MostFrequentTree, MostRecentTree
 from .sul import SimulatedSystem
 
-
-class _PruneSignal:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Prune"
-
-
-PRUNE = _PruneSignal()
-
-QueryAnswer = Union[Word, _PruneSignal]
 
 Tree = Union[MostRecentTree, MostFrequentTree]
 
@@ -130,20 +120,24 @@ class Reviser:
         self._memo: dict[MealyMachine, int] = {}  # minimal machine -> version verified against
         self._revision_cursor = 0
 
-    def apply(self, trace: Trace) -> QueryAnswer:
-        """Integrate one system trace; PRUNE iff it changed settled answers.
+    def apply(self, trace: Trace) -> Word:
+        """Integrate one system trace and return its outputs.
 
-        Under collapse a conflict raises InconsistentTeacher instead.
+        If it changed settled answers, count a prune and raise
+        PruneRequested; under collapse raise InconsistentTeacher instead.
         """
         if self.tree.update(trace):
             if self.collapse:
                 raise InconsistentTeacher("an observation contradicts a stored answer")
             self.prunes += 1
-            return PRUNE
+            raise PruneRequested()
         return trace.outputs
 
-    def read(self, word: Word) -> QueryAnswer:
-        """Membership answer: from the tree if stored, else one system probe."""
+    def read(self, word: Word) -> Word:
+        """Membership answer: from the tree if stored, else one system probe.
+
+        A conflicting probe raises as in apply.
+        """
         stored = self.tree.lookup(word)
         if stored is not None:
             return stored
@@ -180,15 +174,18 @@ class Reviser:
 
     def test(
         self, h: MealyMachine, minimal: Optional[MealyMachine] = None
-    ) -> Union[Trace, _PruneSignal, None]:
+    ) -> Optional[Trace]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
         Requires a hypothesis consistent with the tree, unless under
-        collapse, which never checks the tree. Returns PRUNE on conflict (or
-        raises, under collapse), a tree-confirmed counterexample trace on
+        collapse, which never checks the tree. A conflict raises as in
+        apply. Returns a tree-confirmed counterexample trace on
         disagreement, and None once k_survive consecutive probes produced
-        neither. minimal is as for check.
+        neither. minimal is as for check, and is computed once here if not
+        given.
         """
+        if minimal is None:
+            minimal = mealy.minimize(h)
         if not self.collapse and self.check(h, minimal) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
         sampler = PreparedSampler(h, self.sampler_cfg, minimal)
@@ -196,20 +193,19 @@ class Reviser:
         while survived < self.k_survive:
             word = self._draw_word(sampler)
             trace = self.system.probe(word, phase="eq")
-            if self.apply(trace) is PRUNE:
-                return PRUNE
+            self.apply(trace)
             confirmed = self.tree.lookup(trace.inputs)
             if confirmed is not None and h.run(trace.inputs) != confirmed:
                 return Trace(trace.inputs, confirmed)
             survived += 1
         return None
 
-    def eq(self, h: MealyMachine, log: HypothesisLog) -> Union[Trace, _PruneSignal, None]:
+    def eq(self, h: MealyMachine, log: HypothesisLog) -> Optional[Trace]:
         """Equivalence query: record, check against the tree, then test.
 
         Never answers "yes": the None verdict only means the hypothesis
-        survived the configured amount of testing. Under collapse the tree
-        check is skipped.
+        survived the configured amount of testing. A conflict raises as in
+        apply. Under collapse the tree check is skipped.
         """
         minimal = log.record(h)
         if not self.collapse:

@@ -12,6 +12,7 @@ import random
 import time
 from pathlib import Path
 
+import pytest
 from oracles import language, prefixes, replay_heaviest_wins, replay_latest_wins
 
 from ceal.eqtest import SamplerConfig
@@ -26,7 +27,7 @@ from ceal.mealy import (
     random_machine,
 )
 from ceal.obstree import MostFrequentTree, MostRecentTree
-from ceal.reviser import PRUNE, HypothesisLog, Reviser
+from ceal.reviser import HypothesisLog, Reviser
 from ceal.sul import NoiseModel, RepeatPolicy, SimulatedSystem
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -139,14 +140,16 @@ def test_criterion_03_prune_iff_non_additive_update():
         log = HypothesisLog()
         for j in range(4):
             word = tuple(rng.randrange(2) for _ in range(rng.randint(1, 6)))
-            answer = reviser.read(word)
-            if answer is PRUNE:
+            try:
+                reviser.read(word)
+            except PruneRequested:
                 prunes_seen += 1
         for h in (target, random_machine(2, SIGMA, GAMMA, seed=1000 + r)):
             if reviser.check(h) is not None:
                 continue  # test() requires a tree-coherent hypothesis
-            verdict = reviser.eq(h, log)
-            if verdict is PRUNE:
+            try:
+                reviser.eq(h, log)
+            except PruneRequested:
                 prunes_seen += 1
         # Prune surfaced iff the triggering update was non-additive
         violations += sum(1 for flagged, shrank in snapshots if flagged != shrank)
@@ -204,8 +207,6 @@ def test_criterion_06_restart_is_free_for_answered_queries():
 
     def teacher(word):
         answer = reviser.read(word)
-        if answer is PRUNE:
-            raise PruneRequested()
         answered[tuple(word)] = answer
         return answer
 
@@ -229,7 +230,8 @@ def test_criterion_06_restart_is_free_for_answered_queries():
     truth = target.run(word)
     poison = truth[:-1] + ((truth[-1] + 1) % len(target.outputs),)
     assert reviser.apply(Trace(word, poison)) == poison  # additive lie
-    assert reviser.apply(Trace(word, truth)) is PRUNE
+    with pytest.raises(PruneRequested):
+        reviser.apply(Trace(word, truth))
     assert reviser.tree.lookup(word) == truth
     assert reviser.prunes == 1
 
@@ -239,8 +241,6 @@ def test_criterion_06_restart_is_free_for_answered_queries():
     def audited_teacher(word):
         before = system.meter.tests
         answer = reviser.read(word)
-        if answer is PRUNE:
-            raise PruneRequested()
         key = tuple(word)
         if key in answered and system.meter.tests != before:
             overcharged.append(key)

@@ -20,7 +20,7 @@ from ceal.mealy import (
     random_machine,
 )
 from ceal.obstree import MostRecentTree
-from ceal.reviser import PRUNE, HypothesisLog, Reviser
+from ceal.reviser import HypothesisLog, Reviser
 from ceal.sul import NoiseModel, SimulatedSystem
 from oracles import ReferenceKVLearner, ReferenceLStarLearner
 
@@ -197,14 +197,7 @@ def test_restarted_learner_rebuilds_from_tree_for_free(learner_cls):
         MostRecentTree(), system, SamplerConfig(mean_infix=2.0, max_len=40),
         random.Random("0:sampler"), k_survive=40,
     )
-
-    def teacher(word):
-        ans = reviser.read(word)
-        if ans is PRUNE:
-            raise PruneRequested()
-        return ans
-
-    learner = learner_cls(target.inputs, target.outputs, teacher)
+    learner = learner_cls(target.inputs, target.outputs, reviser.read)
     log = HypothesisLog()
     first_fp = None
     while True:

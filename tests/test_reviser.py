@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from ceal.eqtest import SamplerConfig
-from ceal.learners import InconsistentTeacher
+from ceal.harness import load_target
+from ceal.learners import InconsistentTeacher, PruneRequested
 from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
-from ceal.reviser import PRUNE, HypothesisLog, Reviser, select_final
+from ceal.reviser import HypothesisLog, Reviser, select_final
 from ceal.sul import NoiseModel, SimulatedSystem
 from oracles import ReferenceHypothesisLog
 
@@ -51,10 +53,11 @@ def test_apply_on_fresh_tree_never_prunes(toggle):
     assert r.prunes == 0
 
 
-def test_apply_conflict_returns_prune_and_counts(toggle):
+def test_apply_conflict_raises_prune_and_counts(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))
-    assert r.apply(Trace((0, 0), (0, 0))) is PRUNE
+    with pytest.raises(PruneRequested):
+        r.apply(Trace((0, 0), (0, 0)))
     assert r.prunes == 1
     assert r.apply(Trace((0, 0), (0, 0))) == (0, 0)  # re-apply of stored data
 
@@ -76,11 +79,12 @@ def test_read_unknown_word_probes_once_then_caches(toggle):
     assert r.system.meter.mq_symbols == 3
 
 
-def test_read_conflicting_probe_returns_prune(toggle):
+def test_read_conflicting_probe_raises_prune(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))
     r.system = ScriptedSystem([(1, 1, 1)])  # contradicts stored (0,1) prefix
-    assert r.read((0, 0, 0)) is PRUNE
+    with pytest.raises(PruneRequested):
+        r.read((0, 0, 0))
     assert r.prunes == 1
 
 
@@ -148,8 +152,8 @@ def test_test_prunes_on_conflicting_observation(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0,), (0,)))
     r.system = AllOnesSystem()  # every draw starts with 0/1, contradicting 0/0
-    verdict = r.test(toggle)
-    assert verdict is PRUNE
+    with pytest.raises(PruneRequested):
+        r.test(toggle)
     assert r.prunes == 1
 
 
@@ -189,6 +193,22 @@ def test_eq_minimizes_each_hypothesis_once(toggle, monkeypatch):
     assert r.system.meter.tests == 30
     # the fingerprint's minimization is reused by the sampler
     assert calls == [relabeled]
+
+
+def test_bare_test_minimizes_once(monkeypatch):
+    lock = load_target(Path(__file__).resolve().parent.parent / "benchmarks" / "lock.dot")
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return minimize(m)
+
+    monkeypatch.setattr("ceal.mealy.minimize", counting)
+    monkeypatch.setattr("ceal.eqtest.minimize", counting)
+    r = make_reviser(lock, k_survive=30)
+    assert r.test(lock) is None
+    # one minimization serves the tree check's memo key and the sampler
+    assert calls == [lock]
 
 
 def test_collapse_conflict_raises_before_counting_a_prune(toggle):
