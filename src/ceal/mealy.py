@@ -219,27 +219,19 @@ def minimize(m: MealyMachine) -> MealyMachine:
     bfs = deque([block[m.initial]])
     new_trans: list[tuple[int, ...]] = []
     new_emit: list[tuple[int, ...]] = []
-    rows_trans: dict[int, list[int]] = {}
+    # blocks leave the queue in the order they were numbered, so each
+    # block's rows are appended at its new id
     while bfs:
-        b = bfs.popleft()
-        q = rep[b]
+        q = rep[bfs.popleft()]
         succ = []
         for a in range(ni):
             tb = block[m.transitions[q][a]]
             if tb not in renum:
                 renum[tb] = len(renum)
                 bfs.append(tb)
-            succ.append(tb)
-        rows_trans[renum[b]] = succ
-
-    n_new = len(renum)
-    table = sorted(rows_trans.items())
-    inv = {new: b for b, new in renum.items()}
-    for new_id, succ in table:
-        q = rep[inv[new_id]]
-        new_trans.append(tuple(renum[b] for b in succ))
+            succ.append(renum[tb])
+        new_trans.append(tuple(succ))
         new_emit.append(tuple(m.emissions[q]))
-    assert len(new_trans) == n_new
     return MealyMachine(m.inputs, m.outputs, 0, tuple(new_trans), tuple(new_emit))
 
 

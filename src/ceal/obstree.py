@@ -32,10 +32,9 @@ from .mealy import MealyMachine, Trace, Word
 
 
 class _RNode:
-    __slots__ = ("uid", "edges", "stamp", "visible")
+    __slots__ = ("edges", "stamp", "visible")
 
-    def __init__(self, uid: int, stamp: int) -> None:
-        self.uid = uid
+    def __init__(self, stamp: int) -> None:
         self.edges: dict[int, tuple[_RNode, int]] = {}
         self.stamp = stamp
         # a node is selected from its creation on, until it is discarded
@@ -43,10 +42,9 @@ class _RNode:
 
 
 class _FNode:
-    __slots__ = ("uid", "edges", "stamp", "weight", "visible", "others")
+    __slots__ = ("edges", "stamp", "weight", "visible", "others")
 
-    def __init__(self, uid: int, stamp: int) -> None:
-        self.uid = uid
+    def __init__(self, stamp: int) -> None:
         # per input symbol: the selected (child, output)
         self.edges: dict[int, tuple[_FNode, int]] = {}
         self.stamp = stamp
@@ -80,12 +78,7 @@ class _SelectedEdges:
 
     def __init__(self, node_cls: type) -> None:
         self.version = 0
-        self._uids = 0
-        self.root = node_cls(self._next_uid(), 0)
-
-    def _next_uid(self) -> int:
-        self._uids += 1
-        return self._uids
+        self.root = node_cls(0)
 
     def lookup(self, word: Word) -> Optional[Word]:
         """Stored output word for `word`, or None where the branch ends early."""
@@ -127,20 +120,6 @@ class _SelectedEdges:
                     stack.append((child, succ[a], (path, a, o), child_full))
         return None
 
-    def oldest_maximal_trace(self, after_uid: int = 0) -> Optional[tuple[Trace, int]]:
-        """Maximal selected trace whose leaf has the smallest creation id above after_uid."""
-        best: Optional[tuple[Trace, int]] = None
-        stack: list[tuple[_Node, Word, Word]] = [(self.root, (), ())]
-        while stack:
-            node, ins, outs = stack.pop()
-            if not node.edges:
-                if node.uid > after_uid and (best is None or node.uid < best[1]):
-                    best = (Trace(ins, outs), node.uid)
-                continue
-            for a, (child, o) in node.edges.items():
-                stack.append((child, ins + (a,), outs + (o,)))
-        return best
-
 
 class MostRecentTree(_SelectedEdges):
     """Deterministic observation tree; contradictions prune the old branch."""
@@ -173,7 +152,7 @@ class MostRecentTree(_SelectedEdges):
             else:
                 if edge is not None:
                     conflicted = True
-                child = _RNode(self._next_uid(), version)
+                child = _RNode(version)
                 node.edges[a] = (child, o)
                 node = child
             node.stamp = version
@@ -219,7 +198,7 @@ class MostFrequentTree(_SelectedEdges):
         for a, o in zip(trace.inputs, trace.outputs):
             pre = node.edges.get(a)
             if pre is None:
-                child = _FNode(self._next_uid(), version)
+                child = _FNode(version)
                 node.edges[a] = (child, o)
             elif pre[1] == o:
                 child = pre[0]
@@ -230,7 +209,7 @@ class MostFrequentTree(_SelectedEdges):
                     others = node.others = {}
                 child = others.pop((a, o), None)
                 if child is None:
-                    child = _FNode(self._next_uid(), version)
+                    child = _FNode(version)
                 else:
                     child.weight += 1
                 if child.weight >= pre[0].weight:

@@ -102,11 +102,8 @@ class Reviser:
         sampler_cfg: SamplerConfig,
         rng: random.Random,
         k_survive: int = 200,
-        revision_ratio: float = 0.0,
         collapse: bool = False,
     ) -> None:
-        if not (0.0 <= revision_ratio <= 1.0):
-            raise ValueError("revision_ratio must lie in [0,1]")
         if k_survive < 1:
             raise ValueError("k_survive must be positive")
         self.tree = tree
@@ -114,11 +111,9 @@ class Reviser:
         self.sampler_cfg = sampler_cfg
         self.rng = rng
         self.k_survive = k_survive
-        self.revision_ratio = revision_ratio
         self.collapse = collapse
         self.prunes = 0
         self._memo: dict[MealyMachine, int] = {}  # minimal machine -> version verified against
-        self._revision_cursor = 0
 
     def apply(self, trace: Trace) -> Word:
         """Integrate one system trace and return its outputs.
@@ -161,17 +156,6 @@ class Reviser:
             self._memo[minimal] = self.tree.version
         return found
 
-    def _draw_word(self, sampler: PreparedSampler) -> Word:
-        if self.revision_ratio > 0.0 and self.rng.random() < self.revision_ratio:
-            old = self.tree.oldest_maximal_trace(after_uid=self._revision_cursor)
-            if old is None and self._revision_cursor:
-                self._revision_cursor = 0
-                old = self.tree.oldest_maximal_trace(after_uid=0)
-            if old is not None and old[0].inputs:
-                self._revision_cursor = old[1]
-                return old[0].inputs
-        return sampler.draw(self.rng)
-
     def test(
         self, h: MealyMachine, minimal: Optional[MealyMachine] = None
     ) -> Optional[Trace]:
@@ -191,7 +175,7 @@ class Reviser:
         sampler = PreparedSampler(h, self.sampler_cfg, minimal)
         survived = 0
         while survived < self.k_survive:
-            word = self._draw_word(sampler)
+            word = sampler.draw(self.rng)
             trace = self.system.probe(word, phase="eq")
             self.apply(trace)
             confirmed = self.tree.lookup(trace.inputs)

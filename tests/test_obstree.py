@@ -226,17 +226,6 @@ def test_frequent_tree_flip_uncovers_churned_subtree():
             assert t.find_disagreement(stale, since=since) == Trace(word, t.lookup(word))
 
 
-def test_oldest_maximal_trace_walks_creation_order():
-    t = MostRecentTree()
-    t.update(tr("00", "00"))
-    t.update(tr("11", "11"))
-    first = t.oldest_maximal_trace()
-    assert first is not None and first[0] == tr("00", "00")
-    second = t.oldest_maximal_trace(after_uid=first[1])
-    assert second is not None and second[0] == tr("11", "11")
-    assert t.oldest_maximal_trace(after_uid=second[1]) is None
-
-
 def test_update_rejects_ragged_trace():
     with pytest.raises(ValueError):
         MostRecentTree().update(Trace((0,), ()))

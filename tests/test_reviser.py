@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ceal.eqtest import SamplerConfig
+from ceal.eqtest import PreparedSampler, SamplerConfig
 from ceal.harness import load_target
 from ceal.learners import InconsistentTeacher, PruneRequested
 from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, minimize
@@ -17,8 +17,8 @@ from ceal.sul import NoiseModel, SimulatedSystem
 from oracles import ReferenceHypothesisLog
 
 
-def make_reviser(target, tree=None, k_survive=50, revision_ratio=0.0, seed=0,
-                 noise=None, max_tests=None, collapse=False):
+def make_reviser(target, tree=None, k_survive=50, seed=0, noise=None,
+                 max_tests=None, collapse=False):
     system = SimulatedSystem(
         target,
         noise if noise is not None else NoiseModel.from_seed("none", 0.0, seed),
@@ -30,7 +30,6 @@ def make_reviser(target, tree=None, k_survive=50, revision_ratio=0.0, seed=0,
         SamplerConfig(mean_infix=2.0, max_len=30),
         random.Random(f"{seed}:sampler"),
         k_survive=k_survive,
-        revision_ratio=revision_ratio,
         collapse=collapse,
     )
 
@@ -125,11 +124,23 @@ def test_test_rejects_incoherent_hypothesis(toggle, constant_x):
 
 def test_test_survival_costs_exactly_k_tests(toggle):
     r = make_reviser(toggle, k_survive=50)
+    probes = []
+    real_probe = r.system.probe
+
+    def spy(word, phase="mq"):
+        probes.append(tuple(word))
+        return real_probe(word, phase)
+
+    r.system.probe = spy
     assert r.test(toggle) is None
     m = r.system.meter
     assert m.tests == 50
     assert m.symbols == m.eq_symbols > 0
     assert m.mq_symbols == 0
+    # every tested word is the sampler's next draw, from the reviser's stream
+    sampler = PreparedSampler(toggle, r.sampler_cfg)
+    rng = random.Random("0:sampler")
+    assert probes == [sampler.draw(rng) for _ in range(50)]
 
 
 def test_test_finds_counterexample_against_wrong_hypothesis(toggle, constant_x):
@@ -252,23 +263,6 @@ def test_collapse_test_skips_the_consistency_guard(toggle, constant_x):
     assert isinstance(found, Trace)
     assert toggle.run(found.inputs) == found.outputs
     assert r.prunes == 0
-
-
-def test_revision_ratio_revisits_oldest_words_in_order(toggle):
-    r = make_reviser(toggle, k_survive=3, revision_ratio=1.0)
-    r.apply(Trace((0,), (0,)))
-    r.apply(Trace((0, 0), (0, 1)))
-    probes = []
-    real_probe = r.system.probe
-
-    def spy(word, phase="mq"):
-        probes.append(tuple(word))
-        return real_probe(word, phase)
-
-    r.system.probe = spy
-    assert r.test(toggle) is None
-    # both stored maximal words revisited oldest-first, then the cursor wraps
-    assert probes == [(0, 0), (0, 0)] or probes == [(0, 0), (0, 0), (0, 0)]
 
 
 def test_hypothesis_log_counts_by_language(toggle, constant_x):
