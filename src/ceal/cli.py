@@ -16,13 +16,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .eqtest import METHODS, SamplerConfig
 from .harness import (
     FRAMEWORKS,
+    GRID_KEYS,
     LEARNER_NAMES,
     STRATEGIES,
     ExperimentConfig,
-    _parse_pair,
     emit_report,
     expand_grid,
     load_target,
@@ -31,27 +30,16 @@ from .harness import (
     run_grid,
 )
 from .mealy import DotParseError, find_counterexample
-from .sul import NOISE_KINDS, RepeatPolicy
+from .sul import NOISE_KINDS
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    noise_kind, noise_rate = _parse_pair(args.noise, "--noise")
-    rep_lo, rep_hi = _parse_pair(args.repeats, "--repeats")
-    cfg = ExperimentConfig(
-        target=args.target,
-        framework=args.framework,
-        learner=args.learner,
-        repeats=RepeatPolicy(int(rep_lo), int(rep_hi)),
-        noise_kind=noise_kind,
-        noise_rate=float(noise_rate),
-        update_strategy=args.update_strategy,
-        selection=args.selection,
-        sampler=SamplerConfig(args.sampler, args.mean_infix, args.max_len),
-        k_survive=args.k_survive,
-        max_queries=args.max_queries,
-        seeds=(args.seed,),
-    )
-    result = run(cfg, args.seed)
+    options = {k: v for k, v in vars(args).items() if k in GRID_KEYS and v is not None}
+    cells = expand_grid(options)
+    if len(cells) != 1 or len(cells[0].seeds) != 1:
+        raise ValueError("run takes one cell and one seed; sweep several with 'ceal grid'")
+    cfg = cells[0]
+    result = run(cfg, cfg.seeds[0])
     if args.json:
         print(json.dumps(asdict(result)))
     else:
@@ -80,6 +68,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 "learner": cfg.learner,
                 "noise_kind": cfg.noise_kind,
                 "noise_level": cfg.noise_rate,
+                "repeats": f"{cfg.repeats.min_repeats}:{cfg.repeats.max_repeats}",
                 "seed": seed,
             }
             record.update(asdict(result))
@@ -126,25 +115,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one learning session")
-    p_run.add_argument("--target", required=True, help="DOT model file")
-    p_run.add_argument("--framework", default="ceal", choices=FRAMEWORKS)
-    p_run.add_argument("--learner", default="lstar_rs", choices=LEARNER_NAMES)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--noise", default="none:0", metavar="KIND:RATE",
-                       help=f"kinds: {', '.join(NOISE_KINDS)}")
-    p_run.add_argument("--repeats", default="5:10", metavar="MIN:MAX",
-                       help="voting repeats per query")
-    p_run.add_argument("--update-strategy", default="most_recent", choices=STRATEGIES,
+    p_run = sub.add_parser(
+        "run", help="run one learning session",
+        description="Run one cell for one seed. A flag sets one entry of the grid key it "
+                    "names (--target sets targets, --k-survive k_survive); a flag left out "
+                    "takes ExperimentConfig's default.",
+    )
+    p_run.add_argument("--target", dest="targets", required=True, metavar="DOT",
+                       help="model file")
+    p_run.add_argument("--framework", dest="frameworks", metavar="|".join(FRAMEWORKS))
+    p_run.add_argument("--learner", dest="learners", metavar="|".join(LEARNER_NAMES))
+    p_run.add_argument("--seed", dest="seeds", default="0", metavar="SEED")
+    p_run.add_argument("--noise", metavar="KIND:RATE", help=f"kinds: {', '.join(NOISE_KINDS)}")
+    p_run.add_argument("--repeats", metavar="MIN:MAX", help="voting repeats per query")
+    p_run.add_argument("--update-strategy", metavar="|".join(STRATEGIES),
                        help="observation tree under ceal; ignored under mat")
-    p_run.add_argument("--selection", default="most_frequent", choices=STRATEGIES,
+    p_run.add_argument("--selection", metavar="|".join(STRATEGIES),
                        help="final-model selection under ceal; ignored under mat, "
                             "which keeps its latest hypothesis")
-    p_run.add_argument("--sampler", default="randomized_wp", choices=METHODS)
-    p_run.add_argument("--mean-infix", type=float, default=4.0)
-    p_run.add_argument("--max-len", type=int, default=50)
-    p_run.add_argument("--k-survive", type=int, default=200)
-    p_run.add_argument("--max-queries", type=int, default=200_000)
+    p_run.add_argument("--sampler", help="word sampler of the equivalence tests")
+    p_run.add_argument("--mean-infix")
+    p_run.add_argument("--max-len")
+    p_run.add_argument("--k-survive")
+    p_run.add_argument("--max-queries")
     p_run.add_argument("--json", action="store_true", help="print the result as JSON")
     p_run.set_defaults(func=_cmd_run)
 

@@ -8,33 +8,25 @@ grid crosses targets, frameworks, learners, noise settings and repeat
 policies, runs every seed of every cell, and aggregates per-cell success
 rates and mean costs.
 
-Grid files are flat ``key = value`` text; list-valued keys take
-comma-separated entries. Recognized keys::
-
-    targets   = benchmarks/lock.dot, benchmarks/dispenser.dot   (required)
-    frameworks = mat, ceal
-    learners  = lstar_rs, kv
-    noise     = none:0, output:0.05        # kind:rate pairs
-    repeats   = 5:10                       # min:max voting pairs
-    seeds     = 0..49                      # inclusive range, or 0,1,2
-    update_strategy = most_recent          # ceal only; MAT ignores it
-    selection = most_frequent              # ceal only; MAT ignores it
-    sampler   = randomized_wp              # or random_walk
-    mean_infix = 4.0
-    max_len   = 50
-    k_survive = 200
-    max_queries = 200000
-
-Blank lines and ``#`` comments are ignored.
+Grid files are flat ``key = value`` text; ``#`` starts a comment and
+blank lines are ignored. ``GRID_KEYS`` names every key, the cell fields it
+sets and how its text is read. ``targets`` is required. The axes
+``targets``, ``noise`` (kind:rate pairs), ``frameworks``, ``learners`` and
+``repeats`` (min:max pairs) take comma-separated entries and are crossed;
+``seeds`` takes integers and inclusive ``a..b`` ranges. The other keys are
+shared by all cells. A key left out is not passed, so the default of
+ExperimentConfig, SamplerConfig or RepeatPolicy applies.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
+from collections import ChainMap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -61,10 +53,10 @@ from .sul import (
 )
 
 FRAMEWORKS = ("mat", "ceal")
-LEARNER_NAMES = ("lstar_rs", "kv")
 STRATEGIES = ("most_recent", "most_frequent")
 
 _LEARNER_CLASSES = {"lstar_rs": LStarLearner, "kv": KVLearner}
+LEARNER_NAMES = tuple(_LEARNER_CLASSES)
 
 REPORT_FIELDS = (
     "experiment",
@@ -84,7 +76,11 @@ REPORT_FIELDS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of one experiment cell; validated on construction."""
+    """Every knob of one experiment cell; validated on construction.
+
+    Its defaults, and those of the SamplerConfig and RepeatPolicy it holds,
+    are the only ones: a grid key or ``ceal run`` flag left out takes them.
+    """
 
     target: str
     framework: str = "ceal"
@@ -305,25 +301,26 @@ def run_grid(
     return rows
 
 
-def _csv_cell(value) -> str:
+def _csv_cell(field: str, value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
+    if isinstance(value, float) and field != "noise_level":
         return f"{value:.2f}"
     return str(value)
 
 
 def emit_report(rows: Sequence[dict], format: str = "csv") -> str:
-    """Render aggregated rows as CSV (floats to 2 decimals) or JSON.
+    """Render aggregated rows as CSV or JSON; either text ends in one newline.
 
-    Either text ends in one newline.
+    CSV statistics are rounded to 2 decimals; the noise level is written in
+    full, so distinct cells keep distinct keys.
     """
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_FIELDS)
         for row in rows:
-            writer.writerow([_csv_cell(row[f]) for f in REPORT_FIELDS])
+            writer.writerow([_csv_cell(f, row[f]) for f in REPORT_FIELDS])
         return buf.getvalue()
     if format == "json":
         return json.dumps([{f: row[f] for f in REPORT_FIELDS} for row in rows], indent=2) + "\n"
@@ -352,13 +349,6 @@ def _split_list(value: str) -> list[str]:
     return [part for part in items if part]
 
 
-def _parse_pair(value: str, what: str) -> tuple[str, str]:
-    if value.count(":") != 1:
-        raise ValueError(f"{what} must be written as a:b, got {value!r}")
-    left, right = value.split(":")
-    return left.strip(), right.strip()
-
-
 def parse_seed_list(value: str) -> tuple[int, ...]:
     """Seeds as comma-separated integers and/or inclusive a..b ranges."""
     seeds: list[int] = []
@@ -376,76 +366,74 @@ def parse_seed_list(value: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
+def _pair(text: str, first: Callable, second: Callable) -> tuple:
+    """'a:b' text read as (first(a), second(b))."""
+    if text.count(":") != 1:
+        raise ValueError(f"must be written as a:b, got {text!r}")
+    left, right = text.split(":")
+    return first(left.strip()), second(right.strip())
+
+
+# Grid key -> (the field or fields one entry sets, parser of the entry's text).
+# The sampler keys set SamplerConfig fields, the others ExperimentConfig's.
+GRID_KEYS: dict[str, tuple] = {
+    "targets": ("target", str),
+    "noise": (("noise_kind", "noise_rate"), lambda text: _pair(text, str, float)),
+    "frameworks": ("framework", str),
+    "learners": ("learner", str),
+    "repeats": ("repeats", lambda text: RepeatPolicy(*_pair(text, int, int))),
+    "seeds": ("seeds", parse_seed_list),
+    "update_strategy": ("update_strategy", str),
+    "selection": ("selection", str),
+    "k_survive": ("k_survive", int),
+    "max_queries": ("max_queries", int),
+    "sampler": ("method", str),
+    "mean_infix": ("mean_infix", float),
+    "max_len": ("max_len", int),
+}
+_AXES = ("targets", "noise", "frameworks", "learners", "repeats")
+_SAMPLER_KEYS = ("sampler", "mean_infix", "max_len")
+
+
+def _fields(key: str, text: str) -> dict:
+    """The fields that one entry of a grid key sets; errors name the key."""
+    fields, parse = GRID_KEYS[key]
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return dict(zip(fields, value)) if isinstance(fields, tuple) else {fields: value}
+
+
 def expand_grid(
     options: dict[str, str], base_dir: Optional[Path] = None
 ) -> list[ExperimentConfig]:
     """Cross a parsed grid config into one ExperimentConfig per cell.
 
     Axes: targets x noise x frameworks x learners x repeats; an axis given
-    as an empty list is rejected. Everything else is shared by all cells.
-    Target paths resolve against base_dir.
+    as an empty list is rejected. Everything else is shared by all cells,
+    and a key left out takes the ExperimentConfig default. Target paths
+    resolve against base_dir; a parse error names its key.
     """
-    opts = dict(options)
-
-    def take(key: str, default: str) -> str:
-        return opts.pop(key, default)
-
-    def axis(key: str, default: str) -> list[str]:
-        items = _split_list(take(key, default))
-        if not items:
-            raise ValueError(f"grid config {key!r} is empty")
-        return items
-
-    if "targets" not in opts:
+    if "targets" not in options:
         raise ValueError("grid config needs a 'targets' key")
-    targets = axis("targets", "")
+    unknown = options.keys() - GRID_KEYS.keys()
+    if unknown:
+        raise ValueError(f"unknown grid config keys: {', '.join(sorted(unknown))}")
+    axes = [
+        [_fields(key, item) for item in _split_list(options[key])] if key in options else [{}]
+        for key in _AXES
+    ]
+    for key, entries in zip(_AXES, axes):
+        if not entries:
+            raise ValueError(f"{key} is empty")
+    shared, sampler = {}, {}
+    for key, text in options.items():
+        if key not in _AXES:
+            (sampler if key in _SAMPLER_KEYS else shared).update(_fields(key, text))
+    if sampler:
+        shared["sampler"] = SamplerConfig(**sampler)
     if base_dir is not None:
-        targets = [
-            t if Path(t).is_absolute() else str(Path(base_dir) / t) for t in targets
-        ]
-    frameworks = axis("frameworks", "ceal")
-    learners = axis("learners", "lstar_rs")
-    noises = []
-    for item in axis("noise", "none:0"):
-        kind, rate = _parse_pair(item, "noise")
-        noises.append((kind, float(rate)))
-    repeat_policies = []
-    for item in axis("repeats", "5:10"):
-        lo, hi = _parse_pair(item, "repeats")
-        repeat_policies.append(RepeatPolicy(int(lo), int(hi)))
-    seeds = parse_seed_list(take("seeds", "0..19"))
-    sampler = SamplerConfig(
-        method=take("sampler", "randomized_wp"),
-        mean_infix=float(take("mean_infix", "4.0")),
-        max_len=int(take("max_len", "50")),
-    )
-    update_strategy = take("update_strategy", "most_recent")
-    selection = take("selection", "most_frequent")
-    k_survive = int(take("k_survive", "200"))
-    max_queries = int(take("max_queries", "200000"))
-    if opts:
-        raise ValueError(f"unknown grid config keys: {', '.join(sorted(opts))}")
-
-    cells = []
-    for target in targets:
-        for noise_kind, noise_rate in noises:
-            for framework in frameworks:
-                for learner in learners:
-                    for repeats in repeat_policies:
-                        cells.append(
-                            ExperimentConfig(
-                                target=target,
-                                framework=framework,
-                                learner=learner,
-                                repeats=repeats,
-                                noise_kind=noise_kind,
-                                noise_rate=noise_rate,
-                                update_strategy=update_strategy,
-                                selection=selection,
-                                sampler=sampler,
-                                k_survive=k_survive,
-                                max_queries=max_queries,
-                                seeds=seeds,
-                            )
-                        )
-    return cells
+        for entry in axes[0]:
+            entry["target"] = str(Path(base_dir) / entry["target"])
+    return [ExperimentConfig(**shared, **ChainMap(*cell)) for cell in itertools.product(*axes)]

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from ceal.cli import main
+from ceal.cli import build_parser, main
 from ceal.harness import (
+    GRID_KEYS,
     REPORT_FIELDS,
     ExperimentConfig,
+    RunResult,
     emit_report,
     expand_grid,
     load_target,
@@ -278,6 +281,19 @@ def test_report_csv_header_and_rounding():
     assert cells[-1] == "1"
 
 
+def test_report_csv_keeps_distinct_noise_levels_distinct(tmp_path):
+    missing = str(tmp_path / "missing.dot")  # errored cells: rows without runs
+    cells = [
+        ExperimentConfig(target=missing, noise_kind="output", noise_rate=rate, seeds=(0,))
+        for rate in (0.005, 0.01)
+    ] + [ExperimentConfig(target=LOCK, repeats=RepeatPolicy(1, 1), seeds=(0,))]
+    rows = list(csv.DictReader(emit_report(run_grid(cells)).splitlines()))
+    levels = [row["noise_level"] for row in rows]
+    assert levels == ["0.0", "0.005", "0.01"]  # best-first: the lock cell succeeds
+    assert [float(level) for level in levels] == [0.0, 0.005, 0.01]
+    assert rows[0]["success_rate"] == "1.00"  # statistics keep two decimals
+
+
 def test_report_csv_empty_rows_is_header_only():
     assert emit_report([]) == ",".join(REPORT_FIELDS) + "\n"
 
@@ -430,6 +446,15 @@ def test_cli_grid_writes_report_and_log(tmp_path, capsys):
     assert all(r["success"] for r in records)
 
 
+def test_cli_grid_run_log_names_the_repeats(tmp_path):
+    config = tmp_path / "sweep.grid"
+    config.write_text(f"targets = {LOCK}\nrepeats = 1:1, 3:5\nseeds = 0\n", encoding="utf-8")
+    log = tmp_path / "runs.jsonl"
+    assert main(["grid", "--config", str(config), "--run-log", str(log)]) == 0
+    records = [json.loads(l) for l in log.read_text(encoding="utf-8").splitlines()]
+    assert [r["repeats"] for r in records] == ["1:1", "3:5"]
+
+
 def test_cli_grid_json_to_stdout(tmp_path, capsys):
     config = tmp_path / "sweep.grid"
     config.write_text(
@@ -474,3 +499,104 @@ def test_cli_check_alphabet_mismatch(tmp_path, capsys):
     session.write_text(Path(SESSION).read_text(encoding="utf-8"), encoding="utf-8")
     assert main(["check", LOCK, str(session)]) == 1
     assert "alphabet" in capsys.readouterr().out
+
+
+# --- ceal run is the one-cell grid -------------------------------------------
+
+RUN_FLAGS = {
+    "targets": "--target",
+    "frameworks": "--framework",
+    "learners": "--learner",
+    "seeds": "--seed",
+    "noise": "--noise",
+    "repeats": "--repeats",
+    "update_strategy": "--update-strategy",
+    "selection": "--selection",
+    "sampler": "--sampler",
+    "mean_infix": "--mean-infix",
+    "max_len": "--max-len",
+    "k_survive": "--k-survive",
+    "max_queries": "--max-queries",
+}
+
+# one entry per key, none of them the default
+ONE_ENTRY = {
+    "targets": SESSION,
+    "frameworks": "mat",
+    "learners": "kv",
+    "seeds": "3",
+    "noise": "output:0.05",
+    "repeats": "1:3",
+    "update_strategy": "most_frequent",
+    "selection": "most_recent",
+    "sampler": "random_walk",
+    "mean_infix": "2.5",
+    "max_len": "30",
+    "k_survive": "7",
+    "max_queries": "1000",
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (config, seed) of every session `ceal run` starts; none runs."""
+    calls = []
+
+    def fake_run(cfg, seed):
+        calls.append((cfg, seed))
+        return RunResult(True, 1, 1, 0.0, 1, 0, "stability")
+
+    monkeypatch.setattr("ceal.cli.run", fake_run)
+    return calls
+
+
+def test_run_flags_are_the_grid_keys():
+    args = vars(build_parser().parse_args(["run", "--target", LOCK]))
+    assert args.keys() - {"command", "func", "json"} == GRID_KEYS.keys()
+    assert RUN_FLAGS.keys() == GRID_KEYS.keys() == ONE_ENTRY.keys()
+
+
+def test_cli_run_without_options_builds_the_default_cell(built):
+    assert main(["run", "--target", LOCK]) == 0
+    assert built == [(ExperimentConfig(LOCK, seeds=(0,)), 0)]
+
+
+@pytest.mark.parametrize("key", list(GRID_KEYS))
+def test_cli_run_builds_the_one_cell_grid(key, built):
+    flags = {"--target": LOCK, RUN_FLAGS[key]: ONE_ENTRY[key]}
+    assert main(["run", *(part for item in flags.items() for part in item), "--json"]) == 0
+    (cell,) = expand_grid({"targets": LOCK, "seeds": "0", key: ONE_ENTRY[key]})
+    assert cell != ExperimentConfig(LOCK, seeds=(0,))
+    assert built == [(cell, cell.seeds[0])]
+
+
+@pytest.mark.parametrize("flag, value", [("--framework", "ceal,mat"), ("--seed", "0..2")])
+def test_cli_run_rejects_more_than_one_cell_or_seed(flag, value, built, capsys):
+    assert main(["run", "--target", LOCK, flag, value]) == 2
+    assert "ceal grid" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k_survive", "x"),
+        ("max_queries", "x"),
+        ("max_len", "x"),
+        ("mean_infix", "x"),
+        ("seeds", "x"),
+        ("noise", "output:x"),
+        ("repeats", "1:x"),
+    ],
+)
+def test_parse_errors_name_their_key(key, value, tmp_path, built, capsys):
+    options = {"targets": LOCK, key: value}
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        expand_grid(options)
+    config = tmp_path / "bad.grid"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
+    assert main(["grid", "--config", str(config)]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert main(["run", "--target", LOCK, RUN_FLAGS[key], value]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert built == []
