@@ -21,6 +21,7 @@ ExperimentConfig, SamplerConfig or RepeatPolicy applies.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -28,6 +29,7 @@ import math
 import random
 from collections import ChainMap
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -154,8 +156,19 @@ class _VotingSystem:
 
 
 def load_target(path: str | Path) -> MealyMachine:
-    """Read and parse a DOT model file."""
-    machine, _, _ = parse_dot(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a DOT model file; each distinct text is parsed once.
+
+    The parse is memoized by the file's text, not its path, so a rewritten
+    file is parsed again, and a malformed one raises on every load. Loads
+    of one text share one machine, which is safe because machines are
+    frozen.
+    """
+    return _parse_target(Path(path).read_text(encoding="utf-8"))
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_target(text: str) -> MealyMachine:
+    machine, _, _ = parse_dot(text)
     return machine
 
 
@@ -234,7 +247,7 @@ def _cell_row(cfg: ExperimentConfig, results: Optional[Sequence[RunResult]]) -> 
         "experiment": Path(cfg.target).stem,
         "framework": cfg.framework,
         "algorithm": cfg.learner,
-        "repeats": f"({cfg.repeats.min_repeats}, {cfg.repeats.max_repeats})",
+        "repeats": f"{cfg.repeats.min_repeats}:{cfg.repeats.max_repeats}",
         "noise_kind": cfg.noise_kind,
         "noise_level": cfg.noise_rate,
     }
@@ -257,7 +270,8 @@ def _cell_row(cfg: ExperimentConfig, results: Optional[Sequence[RunResult]]) -> 
     return row
 
 
-def _row_order(row: dict) -> tuple:
+def _row_order(cfg: ExperimentConfig, row: dict) -> tuple:
+    """Best cell first; ties go by the cell's settings, repeats by value."""
     rate = row["success_rate"]
     tests = row["test_count_mean"]
     return (
@@ -265,11 +279,11 @@ def _row_order(row: dict) -> tuple:
         -(rate if rate is not None else 0.0),
         tests if tests is not None else math.inf,
         row["experiment"],
-        row["framework"],
-        row["algorithm"],
-        row["repeats"],
-        row["noise_kind"],
-        row["noise_level"],
+        cfg.framework,
+        cfg.learner,
+        (cfg.repeats.min_repeats, cfg.repeats.max_repeats),
+        cfg.noise_kind,
+        cfg.noise_rate,
     )
 
 
@@ -283,12 +297,12 @@ def run_grid(
     reports them as absent. An unreadable or malformed target marks its
     cell errored (empty rate and means, zero runs) and the sweep goes on.
     """
-    rows = []
+    rows = []  # (cell, row)
     for cfg in cells:
         try:
             target = load_target(cfg.target)
         except (OSError, DotParseError):
-            rows.append(_cell_row(cfg, None))
+            rows.append((cfg, _cell_row(cfg, None)))
             continue
         results = []
         for seed in cfg.seeds:
@@ -296,9 +310,9 @@ def run_grid(
             results.append(result)
             if on_result is not None:
                 on_result(cfg, seed, result)
-        rows.append(_cell_row(cfg, results))
-    rows.sort(key=_row_order)
-    return rows
+        rows.append((cfg, _cell_row(cfg, results)))
+    rows.sort(key=lambda pair: _row_order(*pair))
+    return [row for _, row in rows]
 
 
 def _csv_cell(field: str, value) -> str:
@@ -411,7 +425,8 @@ def expand_grid(
     """Cross a parsed grid config into one ExperimentConfig per cell.
 
     Axes: targets x noise x frameworks x learners x repeats; an axis given
-    as an empty list is rejected. Everything else is shared by all cells,
+    as an empty list, or with two entries that read the same (``ceal,
+    CEAL``), is rejected. Everything else is shared by all cells,
     and a key left out takes the ExperimentConfig default. Target paths
     resolve against base_dir; a parse error names its key.
     """
@@ -436,4 +451,10 @@ def expand_grid(
     if base_dir is not None:
         for entry in axes[0]:
             entry["target"] = str(Path(base_dir) / entry["target"])
-    return [ExperimentConfig(**shared, **ChainMap(*cell)) for cell in itertools.product(*axes)]
+    cells = [ExperimentConfig(**shared, **ChainMap(*cell)) for cell in itertools.product(*axes)]
+    # Every entry of an axis shows up, normalized, in some cell's fields, so
+    # fewer distinct values than entries means two entries read the same.
+    for key, entries in zip(_AXES, axes):
+        if len(entries) > 1 and len(set(map(attrgetter(*entries[0]), cells))) < len(entries):
+            raise ValueError(f"{key} repeats an entry")
+    return cells

@@ -320,7 +320,7 @@ def parse_dot(text: str) -> tuple[MealyMachine, Alphabet, Alphabet]:
     body = re.sub(r"/\*.*?\*/", " ", text, flags=re.DOTALL)
     lines = body.splitlines()
 
-    declared: list[str] = []  # node declaration order
+    declared: dict[str, None] = {}  # node declaration order
     initial_attr: Optional[str] = None
     edges: list[tuple[str, str, str, str, int]] = []  # src, dst, in, out, line no
     start_edges: dict[str, str] = {}  # dummy -> target
@@ -379,8 +379,7 @@ def parse_dot(text: str) -> tuple[MealyMachine, Alphabet, Alphabet]:
                 continue
             if name.startswith("__start"):
                 continue
-            if name not in declared:
-                declared.append(name)
+            declared.setdefault(name)
             if attrs and _INITIAL_RE.search(attrs):
                 if initial_attr is not None and initial_attr != name:
                     raise DotParseError(f"line {lineno}: multiple nodes marked initial=true")
@@ -391,14 +390,13 @@ def parse_dot(text: str) -> tuple[MealyMachine, Alphabet, Alphabet]:
     if not in_graph:
         raise DotParseError("no digraph block found")
 
-    states: list[str] = list(declared)
+    # declared nodes first, then edge endpoints in order of first appearance
+    state_id = {name: i for i, name in enumerate(declared)}
     for src, dst, _, _, _ in edges:
-        for name in (src, dst):
-            if name not in states:
-                states.append(name)
-    if not states:
+        state_id.setdefault(src, len(state_id))
+        state_id.setdefault(dst, len(state_id))
+    if not state_id:
         raise DotParseError("no states found")
-    state_id = {name: i for i, name in enumerate(states)}
 
     if start_edges:
         target = next(iter(start_edges.values()))
@@ -413,12 +411,14 @@ def parse_dot(text: str) -> tuple[MealyMachine, Alphabet, Alphabet]:
     sigma = Alphabet(tuple(sorted({e[2] for e in edges})))
     gamma = Alphabet(tuple(sorted({e[3] for e in edges})))
 
-    n = len(states)
+    input_id = {sym: a for a, sym in enumerate(sigma.symbols)}
+    output_id = {sym: b for b, sym in enumerate(gamma.symbols)}
+    n = len(state_id)
     trans: list[list[Optional[int]]] = [[None] * len(sigma) for _ in range(n)]
     emit: list[list[Optional[int]]] = [[None] * len(sigma) for _ in range(n)]
     for src, dst, i_sym, o_sym, lineno in edges:
-        q, a = state_id[src], sigma.index(i_sym)
-        pair = (state_id[dst], gamma.index(o_sym))
+        q, a = state_id[src], input_id[i_sym]
+        pair = (state_id[dst], output_id[o_sym])
         if trans[q][a] is not None and (trans[q][a], emit[q][a]) != pair:
             raise DotParseError(
                 f"line {lineno}: duplicate transition for state {src!r} on input {i_sym!r}"

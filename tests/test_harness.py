@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ceal import harness
 from ceal.cli import build_parser, main
 from ceal.harness import (
     GRID_KEYS,
@@ -22,7 +23,7 @@ from ceal.harness import (
     run,
     run_grid,
 )
-from ceal.mealy import MealyMachine, write_dot
+from ceal.mealy import DotParseError, MealyMachine, write_dot
 from ceal.sul import RepeatPolicy, SimulatedSystem
 from oracles import reference_run_mat
 
@@ -267,6 +268,64 @@ def test_grid_on_result_sees_every_run_in_order():
     assert seen == [2, 0, 1]
 
 
+def test_grid_rows_name_repeats_as_grid_files_do_and_sort_them_by_value(tmp_path):
+    missing = str(tmp_path / "missing.dot")  # errored cells tie on every statistic
+    cells = [
+        ExperimentConfig(target=missing, repeats=RepeatPolicy(n, n), seeds=(0,))
+        for n in (10, 2)
+    ]
+    rows = run_grid(cells)
+    assert [r["repeats"] for r in rows] == ["2:2", "10:10"]
+    lines = emit_report(rows).splitlines()
+    assert lines[1].split(",")[3] == "2:2"  # one CSV field, no quotes
+
+
+# --- target loading ----------------------------------------------------------
+
+
+def test_load_target_shares_one_machine_per_text(tmp_path):
+    copy = tmp_path / "lock.dot"
+    copy.write_text(Path(LOCK).read_text(encoding="utf-8"), encoding="utf-8")
+    first = load_target(copy)
+    assert load_target(copy) is first
+    assert load_target(LOCK) is first  # keyed by the text, not the path
+
+
+def test_load_target_parses_a_rewritten_file_again(tmp_path, toggle):
+    path = tmp_path / "model.dot"
+    path.write_text(Path(LOCK).read_text(encoding="utf-8"), encoding="utf-8")
+    lock = load_target(path)
+    path.write_text(write_dot(toggle), encoding="utf-8")
+    assert load_target(path) == toggle != lock
+
+
+def test_load_target_raises_on_every_load_of_a_malformed_file(tmp_path, toggle):
+    path = tmp_path / "bad.dot"
+    path.write_text('digraph g { s0 -> s0 [label="ax"]; }', encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(DotParseError, match="input/output"):
+            load_target(path)
+    path.write_text(write_dot(toggle), encoding="utf-8")
+    assert load_target(path) == toggle
+
+
+def test_run_grid_parses_a_shared_target_once(tmp_path, monkeypatch):
+    path = tmp_path / "lock.dot"
+    # a text no other test loads, so no earlier load has parsed it
+    text = Path(LOCK).read_text(encoding="utf-8") + f"// {path}\n"
+    path.write_text(text, encoding="utf-8")
+    parsed = []
+    parse_dot = harness.parse_dot
+    monkeypatch.setattr(harness, "parse_dot", lambda t: parsed.append(t) or parse_dot(t))
+    cells = expand_grid({
+        "targets": str(path), "frameworks": "ceal, mat", "learners": "lstar_rs, kv",
+        "repeats": "1:1", "seeds": "0",
+    })
+    rows = run_grid(cells)
+    assert len(rows) == 4 and all(r["success_rate"] == 1.0 for r in rows)
+    assert parsed == [text]
+
+
 # --- reports -----------------------------------------------------------------
 
 
@@ -392,6 +451,23 @@ def test_grid_rejects_an_empty_axis(axis, tmp_path, capsys):
     config.write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
     assert main(["grid", "--config", str(config)]) == 2
     assert "is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, entries", [
+    ("targets", "lock.dot, lock.dot"),
+    ("frameworks", "ceal, CEAL"),
+    ("learners", "kv, lstar_rs, KV"),
+    ("noise", "output:0.05, output:.05"),
+    ("repeats", "1:1, 1: 1"),
+])
+def test_grid_rejects_a_repeated_axis_entry(axis, entries, tmp_path, capsys):
+    options = {"targets": LOCK, "seeds": "0", axis: entries}
+    with pytest.raises(ValueError, match=f"{axis} repeats an entry"):
+        expand_grid(options)
+    config = tmp_path / "twice.grid"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
+    assert main(["grid", "--config", str(config)]) == 2
+    assert f"{axis} repeats an entry" in capsys.readouterr().err
 
 
 # --- CLI ---------------------------------------------------------------------

@@ -129,6 +129,24 @@ def test_parse_dot_initial_attr_and_first_declared():
     assert m2.initial == 0 and m2.run((0,)) == (m2.outputs.index("y"),)
 
 
+def test_parse_dot_numbers_edge_only_nodes_after_declared_ones():
+    text = """
+    digraph g {
+      d [label="d"];
+      c -> b [label="a/x"];
+      b -> d [label="a/y"];
+      d -> a [label="a/x"];
+      a -> c [label="a/y"];
+    }
+    """
+    m, _, gamma = parse_dot(text)
+    x, y = gamma.index("x"), gamma.index("y")
+    # d is declared, then c, b, a in order of first appearance on edges
+    assert m.initial == 0
+    assert m.transitions == ((3,), (2,), (0,), (1,))
+    assert m.emissions == ((x,), (x,), (y,), (y,))
+
+
 def test_parse_dot_errors_name_lines():
     missing_label = 'digraph g { s0 -> s1 [color="red"]; s1 -> s0 [label="a/x"]; s0 -> s1 [label="a/x"]; }'
     with pytest.raises(DotParseError, match="no label"):
@@ -178,6 +196,9 @@ def test_write_dot_roundtrip_random():
         assert s2.symbols == sigma.symbols and g2.symbols == gamma.symbols
         assert canonical_fingerprint(m2) == canonical_fingerprint(m)
         assert find_counterexample(m, m2) is None
+    # large enough that a per-edge scan of the node list would dominate
+    big = random_machine(2000, Alphabet(tuple("abcdefghij")), gamma, seed=0)
+    assert parse_dot(write_dot(big))[0] == big
 
 
 def test_find_counterexample_toggle_vs_constant(toggle, constant_x):
