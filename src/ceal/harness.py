@@ -44,7 +44,7 @@ from .mealy import (
     parse_dot,
 )
 from .obstree import MostFrequentTree, MostRecentTree
-from .reviser import HypothesisLog, Reviser, select_final
+from .reviser import Reviser, select_final
 from .sul import (
     NOISE_KINDS,
     BudgetExhausted,
@@ -183,8 +183,9 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
     InconsistentTeacher from the learner propagates.
     Under MAT the Reviser collapses on a most_recent tree: a conflict ends
     the run unjudged as "collapse", and the final model is the latest
-    hypothesis. The tree and all counters persist across restarts. Hitting
-    the query cap ends the run, and the final model is still judged.
+    hypothesis. The tree, the Reviser's hypothesis log and all counters
+    persist across restarts; the final model is selected from that log.
+    Hitting the query cap ends the run, and the final model is still judged.
     """
     if target is None:
         target = load_target(cfg.target)
@@ -204,13 +205,12 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
         collapse=mat,
     )
     learner = _LEARNER_CLASSES[cfg.learner](target.inputs, target.outputs, reviser.read)
-    log = HypothesisLog()
     terminated_by = "stability"
     try:
         while True:
             try:
                 h = learner.build_hypothesis()
-                verdict = reviser.eq(h, log)
+                verdict = reviser.eq(h)
                 if verdict is None:
                     break
                 learner.refine(verdict)
@@ -223,8 +223,8 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
             raise
         terminated_by = "collapse"
     final = None
-    if log.latest is not None:
-        final = select_final(log, "most_recent" if mat else cfg.selection)
+    if reviser.log.latest is not None:
+        final = select_final(reviser.log, "most_recent" if mat else cfg.selection)
     success = (
         terminated_by != "collapse"
         and final is not None
@@ -244,7 +244,7 @@ def _mean(values: Sequence[float]) -> float:
 
 def _cell_row(cfg: ExperimentConfig, results: Optional[Sequence[RunResult]]) -> dict:
     row = {
-        "experiment": Path(cfg.target).stem,
+        "experiment": cfg.target,
         "framework": cfg.framework,
         "algorithm": cfg.learner,
         "repeats": f"{cfg.repeats.min_repeats}:{cfg.repeats.max_repeats}",

@@ -10,7 +10,7 @@ stands. With ``collapse`` set the reviser is a classical MAT teacher over
 the same tree: a conflict raises InconsistentTeacher instead, ending the
 session, and equivalence queries get no free counterexamples from the tree.
 
-The reviser also records every proposed hypothesis (up to language
+The reviser also logs every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
 by budget rather than by a clean termination. Within a session a hypothesis
 is identified by its canonical minimal machine: minimize renumbers states
@@ -38,35 +38,35 @@ Tree = Union[MostRecentTree, MostFrequentTree]
 class HypothesisLog:
     """Occurrence counts of proposed hypotheses, up to language equivalence.
 
-    Each hypothesis is keyed by its canonical minimal machine, which record
-    returns so the checks and the test that follow need not minimize again.
-    A learner restarted after a prune mostly re-proposes machines it has
-    proposed before, so the minimal machine is memoized per table, for as
-    long as the log lives, i.e. one session. representatives keeps, per
-    key, the first table proposed with that language.
+    Each hypothesis is keyed by its canonical minimal machine, which
+    canonical memoizes per table for as long as the log lives, i.e. one
+    session: a learner restarted after a prune mostly re-proposes machines
+    it has proposed before, and the reviser's check and test key by the same
+    machine. counts keeps its keys in first-seen order; representatives
+    keeps, per key, the first table proposed with that language.
     """
 
     def __init__(self) -> None:
         self.counts: dict[MealyMachine, int] = {}
         self.representatives: dict[MealyMachine, MealyMachine] = {}
-        self.first_seen: dict[MealyMachine, int] = {}
         self.latest: Optional[MealyMachine] = None
-        self.total = 0
         self._minimal: dict[MealyMachine, MealyMachine] = {}
 
-    def record(self, h: MealyMachine) -> MealyMachine:
+    def canonical(self, h: MealyMachine) -> MealyMachine:
+        """minimize(h), computed once per distinct table."""
         minimal = self._minimal.get(h)
         if minimal is None:
             # via the module, where perfbench/tracer.py wraps minimize
             minimal = self._minimal[h] = mealy.minimize(h)
+        return minimal
+
+    def record(self, h: MealyMachine) -> None:
+        minimal = self.canonical(h)
         self.latest = h
-        self.total += 1
         if minimal not in self.counts:
             self.counts[minimal] = 0
             self.representatives[minimal] = h
-            self.first_seen[minimal] = self.total
         self.counts[minimal] += 1
-        return minimal
 
 
 def select_final(log: HypothesisLog, strategy: str) -> MealyMachine:
@@ -80,7 +80,8 @@ def select_final(log: HypothesisLog, strategy: str) -> MealyMachine:
     if strategy == "most_recent":
         return log.latest
     if strategy == "most_frequent":
-        key = max(log.counts, key=lambda m: (log.counts[m], log.first_seen[m]))
+        # max keeps the first of equal counts, so scan latest first-seen first
+        key = max(reversed(log.counts), key=log.counts.__getitem__)
         return log.representatives[key]
     raise ValueError(f"unknown selection strategy {strategy!r}")
 
@@ -92,7 +93,9 @@ class Reviser:
     consulted for words the tree cannot answer, and for equivalence testing.
     Under collapse a conflict raises InconsistentTeacher rather than
     pruning, and eq skips the tree check, so every counterexample costs
-    system tests, as with a classical teacher.
+    system tests, as with a classical teacher. A Reviser serves one
+    session: log holds every hypothesis eq was asked about, and check and
+    test key by its canonical minimal machine.
     """
 
     def __init__(
@@ -113,6 +116,7 @@ class Reviser:
         self.k_survive = k_survive
         self.collapse = collapse
         self.prunes = 0
+        self.log = HypothesisLog()
         self._memo: dict[MealyMachine, int] = {}  # minimal machine -> version verified against
 
     def apply(self, trace: Trace) -> Word:
@@ -138,41 +142,32 @@ class Reviser:
             return stored
         return self.apply(self.system.probe(word, phase="mq"))
 
-    def check(
-        self, h: MealyMachine, minimal: Optional[MealyMachine] = None
-    ) -> Optional[Trace]:
+    def check(self, h: MealyMachine) -> Optional[Trace]:
         """Scan the tree for a stored trace the hypothesis mislabels.
 
         Costs zero system tests. Scans are incremental: once a hypothesis
         (up to language equivalence) has been verified against the whole
-        tree, later scans cover only the parts touched since. minimal is
-        minimize(h) when the caller already has it.
+        tree, later scans cover only the parts touched since.
         """
-        if minimal is None:
-            minimal = mealy.minimize(h)
+        minimal = self.log.canonical(h)
         since = self._memo.get(minimal, -1)
         found = self.tree.find_disagreement(h, since=since)
         if found is None:
             self._memo[minimal] = self.tree.version
         return found
 
-    def test(
-        self, h: MealyMachine, minimal: Optional[MealyMachine] = None
-    ) -> Optional[Trace]:
+    def test(self, h: MealyMachine) -> Optional[Trace]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
         Requires a hypothesis consistent with the tree, unless under
         collapse, which never checks the tree. A conflict raises as in
         apply. Returns a tree-confirmed counterexample trace on
         disagreement, and None once k_survive consecutive probes produced
-        neither. minimal is as for check, and is computed once here if not
-        given.
+        neither.
         """
-        if minimal is None:
-            minimal = mealy.minimize(h)
-        if not self.collapse and self.check(h, minimal) is not None:
+        if not self.collapse and self.check(h) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
-        sampler = PreparedSampler(h, self.sampler_cfg, minimal)
+        sampler = PreparedSampler(h, self.sampler_cfg, self.log.canonical(h))
         survived = 0
         while survived < self.k_survive:
             word = sampler.draw(self.rng)
@@ -184,16 +179,16 @@ class Reviser:
             survived += 1
         return None
 
-    def eq(self, h: MealyMachine, log: HypothesisLog) -> Optional[Trace]:
-        """Equivalence query: record, check against the tree, then test.
+    def eq(self, h: MealyMachine) -> Optional[Trace]:
+        """Equivalence query: record in the log, check against the tree, then test.
 
         Never answers "yes": the None verdict only means the hypothesis
         survived the configured amount of testing. A conflict raises as in
         apply. Under collapse the tree check is skipped.
         """
-        minimal = log.record(h)
+        self.log.record(h)
         if not self.collapse:
-            found = self.check(h, minimal)
+            found = self.check(h)
             if found is not None:
                 return found
-        return self.test(h, minimal)
+        return self.test(h)

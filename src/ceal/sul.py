@@ -132,15 +132,11 @@ class SimulatedSystem:
     """The only gateway to the target; every interaction is metered here."""
 
     def __init__(
-        self,
-        target: MealyMachine,
-        noise: NoiseModel,
-        meter: Optional[TestMeter] = None,
-        max_tests: Optional[int] = None,
+        self, target: MealyMachine, noise: NoiseModel, max_tests: Optional[int] = None
     ) -> None:
         self.target = target
         self.noise = noise
-        self.meter = meter if meter is not None else TestMeter()
+        self.meter = TestMeter()
         self.max_tests = max_tests
 
     @property

@@ -27,7 +27,7 @@ from ceal.mealy import (
     random_machine,
 )
 from ceal.obstree import MostFrequentTree, MostRecentTree
-from ceal.reviser import HypothesisLog, Reviser
+from ceal.reviser import Reviser
 from ceal.sul import NoiseModel, RepeatPolicy, SimulatedSystem
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -137,7 +137,6 @@ def test_criterion_03_prune_iff_non_additive_update():
         system.probe = spy_probe
         reviser = Reviser(tree, system, SamplerConfig(mean_infix=2.0, max_len=10),
                           random.Random(f"c3s:{r}"), k_survive=8)
-        log = HypothesisLog()
         for j in range(4):
             word = tuple(rng.randrange(2) for _ in range(rng.randint(1, 6)))
             try:
@@ -148,7 +147,7 @@ def test_criterion_03_prune_iff_non_additive_update():
             if reviser.check(h) is not None:
                 continue  # test() requires a tree-coherent hypothesis
             try:
-                reviser.eq(h, log)
+                reviser.eq(h)
             except PruneRequested:
                 prunes_seen += 1
         # Prune surfaced iff the triggering update was non-additive
@@ -211,10 +210,9 @@ def test_criterion_06_restart_is_free_for_answered_queries():
         return answer
 
     learner = LStarLearner(target.inputs, target.outputs, teacher)
-    log = HypothesisLog()
     while True:
         h = learner.build_hypothesis()
-        verdict = reviser.eq(h, log)
+        verdict = reviser.eq(h)
         if verdict is None:
             break
         learner.refine(verdict)
@@ -249,7 +247,7 @@ def test_criterion_06_restart_is_free_for_answered_queries():
     learner.teacher = audited_teacher
     while True:
         h2 = learner.build_hypothesis()
-        verdict = reviser.eq(h2, log)
+        verdict = reviser.eq(h2)
         if verdict is None:
             break
         learner.refine(verdict)

@@ -228,7 +228,7 @@ def test_grid_single_cell_success_rate_one():
     rows = run_grid([cfg])
     assert len(rows) == 1
     row = rows[0]
-    assert row["experiment"] == "lock"
+    assert row["experiment"] == LOCK  # the target as the grid file names it
     assert row["success_rate"] == 1.0
     assert row["runs"] == 3
     assert row["test_count_mean"] > 0
@@ -278,6 +278,18 @@ def test_grid_rows_name_repeats_as_grid_files_do_and_sort_them_by_value(tmp_path
     assert [r["repeats"] for r in rows] == ["2:2", "10:10"]
     lines = emit_report(rows).splitlines()
     assert lines[1].split(",")[3] == "2:2"  # one CSV field, no quotes
+
+
+def test_grid_rows_tell_apart_targets_that_share_a_file_name(tmp_path):
+    copy = tmp_path / "other" / "lock.dot"
+    copy.parent.mkdir()
+    copy.write_text(Path(LOCK).read_text(encoding="utf-8"), encoding="utf-8")
+    cells = [
+        ExperimentConfig(target=target, repeats=RepeatPolicy(1, 1), seeds=(0,))
+        for target in (LOCK, str(copy))
+    ]
+    rows = run_grid(cells)
+    assert sorted(r["experiment"] for r in rows) == sorted([LOCK, str(copy)])
 
 
 # --- target loading ----------------------------------------------------------
@@ -335,7 +347,7 @@ def test_report_csv_header_and_rounding():
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(REPORT_FIELDS)
     cells = lines[1].split(",")
-    assert cells[0] == "lock"
+    assert cells[0] == LOCK
     assert cells[-6] == "1.00"  # success_rate, two decimals
     assert cells[-1] == "1"
 

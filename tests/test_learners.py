@@ -20,7 +20,7 @@ from ceal.mealy import (
     random_machine,
 )
 from ceal.obstree import MostRecentTree
-from ceal.reviser import HypothesisLog, Reviser
+from ceal.reviser import Reviser
 from ceal.sul import NoiseModel, SimulatedSystem
 from oracles import ReferenceKVLearner, ReferenceLStarLearner
 
@@ -198,13 +198,12 @@ def test_restarted_learner_rebuilds_from_tree_for_free(learner_cls):
         random.Random("0:sampler"), k_survive=40,
     )
     learner = learner_cls(target.inputs, target.outputs, reviser.read)
-    log = HypothesisLog()
     first_fp = None
     while True:
         h = learner.build_hypothesis()
         if first_fp is None:
             first_fp = canonical_fingerprint(h)
-        verdict = reviser.eq(h, log)
+        verdict = reviser.eq(h)
         if verdict is None:
             break
         assert isinstance(verdict, Trace)

@@ -171,18 +171,16 @@ def test_test_prunes_on_conflicting_observation(toggle):
 def test_eq_records_before_answering(toggle, constant_x):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))
-    log = HypothesisLog()
-    found = r.eq(constant_x, log)
+    found = r.eq(constant_x)
     assert isinstance(found, Trace)
     assert r.system.meter.tests == 0  # the tree already refuted it
-    assert log.total == 1 and log.latest is constant_x
+    assert sum(r.log.counts.values()) == 1 and r.log.latest is constant_x
 
 
 def test_eq_survival_verdict_noise_free(toggle):
     r = make_reviser(toggle, k_survive=30)
-    log = HypothesisLog()
-    assert r.eq(toggle, log) is None
-    assert log.total == 1
+    assert r.eq(toggle) is None
+    assert sum(r.log.counts.values()) == 1
     assert r.prunes == 0
 
 
@@ -199,8 +197,7 @@ def test_eq_minimizes_each_hypothesis_once(toggle, monkeypatch):
     monkeypatch.setattr("ceal.mealy.minimize", counting)
     monkeypatch.setattr("ceal.eqtest.minimize", counting)
     r = make_reviser(toggle, k_survive=30)
-    log = HypothesisLog()
-    assert r.eq(relabeled, log) is None
+    assert r.eq(relabeled) is None
     assert r.system.meter.tests == 30
     # the fingerprint's minimization is reused by the sampler
     assert calls == [relabeled]
@@ -220,6 +217,26 @@ def test_bare_test_minimizes_once(monkeypatch):
     assert r.test(lock) is None
     # one minimization serves the tree check's memo key and the sampler
     assert calls == [lock]
+
+
+def test_check_then_eq_share_one_minimization(toggle, monkeypatch):
+    relabeled = MealyMachine(  # toggle with its two states renumbered
+        toggle.inputs, toggle.outputs, 1, ((1,), (0,)), ((1,), (0,)),
+    )
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return minimize(m)
+
+    monkeypatch.setattr("ceal.mealy.minimize", counting)
+    monkeypatch.setattr("ceal.eqtest.minimize", counting)
+    r = make_reviser(toggle, k_survive=30)
+    r.apply(Trace((0, 0), (0, 1)))
+    assert r.check(relabeled) is None
+    assert r.eq(relabeled) is None
+    # the log's memo serves the bare check, the record, the check and the sampler
+    assert calls == [relabeled]
 
 
 def test_collapse_conflict_raises_before_counting_a_prune(toggle):
@@ -247,13 +264,12 @@ def test_collapse_eq_skips_the_tree_check(toggle, constant_x, monkeypatch):
         raise AssertionError("a collapsing reviser never scans the tree")
 
     monkeypatch.setattr(MostRecentTree, "find_disagreement", refuse)
-    log = HypothesisLog()
-    found = r.eq(constant_x, log)
+    found = r.eq(constant_x)
     assert isinstance(found, Trace)
     assert constant_x.run(found.inputs) != found.outputs
     assert r.system.meter.tests > 0  # paid for in sampled tests
     assert r.system.meter.mq_symbols == 0
-    assert log.latest is constant_x
+    assert r.log.latest is constant_x
 
 
 def test_collapse_test_skips_the_consistency_guard(toggle, constant_x):
@@ -273,9 +289,8 @@ def test_hypothesis_log_counts_by_language(toggle, constant_x):
     log.record(toggle)
     log.record(relabeled)
     log.record(constant_x)
-    assert log.total == 3
     assert sorted(log.counts.values()) == [1, 2]
-    assert sum(log.counts.values()) == log.total
+    assert sum(log.counts.values()) == 3
 
 
 def test_minimal_machine_memo_matches_fingerprinting_every_record(
@@ -304,7 +319,8 @@ def test_minimal_machine_memo_matches_fingerprinting_every_record(
     for h in sequence:
         with monkeypatch.context() as patch:
             patch.setattr("ceal.mealy.minimize", counting)
-            key = log.record(h)
+            log.record(h)
+            key = log.canonical(h)
         assert key == minimize(h)
         assert canonical_fingerprint(key) == ref.record(h)
         assert log.latest is ref.latest
@@ -314,8 +330,10 @@ def test_minimal_machine_memo_matches_fingerprinting_every_record(
         return {canonical_fingerprint(key): value for key, value in keyed.items()}
 
     assert by_fingerprint(log.counts) == ref.counts and len(log.counts) == 2
-    assert by_fingerprint(log.first_seen) == ref.first_seen
-    assert log.total == ref.total == len(sequence)
+    # counts keeps its keys in first-seen order
+    first_seen = sorted(ref.first_seen, key=ref.first_seen.__getitem__)
+    assert [canonical_fingerprint(key) for key in log.counts] == first_seen
+    assert sum(log.counts.values()) == ref.total == len(sequence)
     representatives = by_fingerprint(log.representatives)
     assert representatives.keys() == ref.representatives.keys()
     for fp, h in ref.representatives.items():
