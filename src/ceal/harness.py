@@ -2,8 +2,8 @@
 
 One run (``run``) wires a learner through a Reviser and majority voting to
 a noisy simulated system, and judges the final model against the
-noise-free target. The frameworks differ in the Reviser's conflict
-policy: ceal prunes and restarts the learner, MAT collapses the run. A
+noise-free target. The frameworks differ in what a conflict means to
+``run``: ceal prunes and restarts the learner, MAT collapses the run. A
 grid crosses targets, frameworks, learners, noise settings and repeat
 policies, runs every seed of every cell, and aggregates per-cell success
 rates and mean costs.
@@ -13,9 +13,9 @@ blank lines are ignored. ``GRID_KEYS`` names every key, the cell fields it
 sets and how its text is read. ``targets`` is required. The axes
 ``targets``, ``noise`` (kind:rate pairs), ``frameworks``, ``learners`` and
 ``repeats`` (min:max pairs) take comma-separated entries and are crossed;
-``seeds`` takes integers and inclusive ``a..b`` ranges. The other keys are
-shared by all cells. A key left out is not passed, so the default of
-ExperimentConfig, SamplerConfig or RepeatPolicy applies.
+``seeds`` takes integers and inclusive ``a..b`` ranges, no seed twice. The
+other keys are shared by all cells. A key left out is not passed, so the
+default of ExperimentConfig, SamplerConfig or RepeatPolicy applies.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .eqtest import SamplerConfig
-from .learners import InconsistentTeacher, KVLearner, LStarLearner, PruneRequested
+from .learners import KVLearner, LStarLearner, PruneRequested
 from .mealy import (
     DotParseError,
     MealyMachine,
@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ValueError("max_queries must be positive")
         if not self.seeds:
             raise ValueError("a cell needs at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds repeats an entry")
 
 
 @dataclass(frozen=True)
@@ -177,15 +179,15 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
 
     The learner asks reviser.read directly. Every probe is majority-voted
     per cfg.repeats in both frameworks, so their comparison isolates
-    conflict handling. Under ceal a conflict raises PruneRequested, from a
-    membership query or from reviser.eq alike, and the one handler restarts
-    the learner; the final model is chosen per cfg.selection, and an
-    InconsistentTeacher from the learner propagates.
-    Under MAT the Reviser collapses on a most_recent tree: a conflict ends
-    the run unjudged as "collapse", and the final model is the latest
-    hypothesis. The tree, the Reviser's hypothesis log and all counters
-    persist across restarts; the final model is selected from that log.
-    Hitting the query cap ends the run, and the final model is still judged.
+    conflict handling. A conflict raises PruneRequested, from a membership
+    query or reviser.eq alike, and this one handler decides what it means:
+    ceal counts a prune and restarts the learner, and MAT (a Reviser
+    without tree check, on a most_recent tree) ends the run unjudged as
+    "collapse". The tree, the hypothesis log and the meter persist across
+    restarts; the final model is selected from that log per cfg.selection,
+    or is the latest hypothesis under MAT. An InconsistentTeacher from the
+    learner propagates. Hitting the query cap ends the run, and the final
+    model is still judged.
     """
     if target is None:
         target = load_target(cfg.target)
@@ -202,10 +204,11 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
         cfg.sampler,
         random.Random(f"{seed}:sampler"),
         k_survive=cfg.k_survive,
-        collapse=mat,
+        tree_check=not mat,
     )
     learner = _LEARNER_CLASSES[cfg.learner](target.inputs, target.outputs, reviser.read)
     terminated_by = "stability"
+    prunes = 0
     try:
         while True:
             try:
@@ -215,13 +218,13 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
                     break
                 learner.refine(verdict)
             except PruneRequested:
+                if mat:
+                    terminated_by = "collapse"
+                    break
+                prunes += 1
                 learner.restart()
     except BudgetExhausted:
         terminated_by = "query_cap"
-    except InconsistentTeacher:
-        if not mat:
-            raise
-        terminated_by = "collapse"
     final = None
     if reviser.log.latest is not None:
         final = select_final(reviser.log, "most_recent" if mat else cfg.selection)
@@ -233,9 +236,7 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
     meter = system.meter
     fraction = meter.eq_symbols / meter.symbols if meter.symbols else 0.0
     states = final.n_states if final is not None else 0
-    return RunResult(
-        success, meter.tests, meter.symbols, fraction, states, reviser.prunes, terminated_by
-    )
+    return RunResult(success, meter.tests, meter.symbols, fraction, states, prunes, terminated_by)
 
 
 def _mean(values: Sequence[float]) -> float:

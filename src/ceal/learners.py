@@ -45,15 +45,15 @@ TeacherFn = Callable[[Word], Word]
 
 
 class PruneRequested(Exception):
-    """The answering layer retracted previous answers; restart the learner."""
+    """A conflict retracted previous answers: ceal restarts the learner, MAT ends the run."""
 
 
 class InconsistentTeacher(RuntimeError):
     """Teacher answers fit no single machine.
 
-    Raised at the points that are unreachable while the teacher answers
-    from one fixed language; reaching them means earlier and later answers
-    contradict each other (e.g. a voting teacher over a noisy system).
+    Only learners raise it, at points unreachable while the teacher
+    answers from one fixed language; reaching them means earlier and later
+    answers contradict each other (e.g. a voting teacher over a noisy system).
     """
 
 

@@ -6,9 +6,9 @@ language, never from the system directly. When an integration changes the
 tree's language non-additively the reviser raises PruneRequested, telling
 the learner its internal state may rest on retracted answers. A learner
 asking through ``read`` unwinds on it, so ``read`` is a teacher as it
-stands. With ``collapse`` set the reviser is a classical MAT teacher over
-the same tree: a conflict raises InconsistentTeacher instead, ending the
-session, and equivalence queries get no free counterexamples from the tree.
+stands. What a conflict means is the caller's decision. With
+``tree_check`` off the reviser is a classical MAT teacher over the same
+tree: equivalence queries get no free counterexamples from the tree.
 
 The reviser also logs every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from . import mealy
 from .eqtest import PreparedSampler, SamplerConfig
-from .learners import InconsistentTeacher, PruneRequested
+from .learners import PruneRequested
 from .mealy import MealyMachine, Trace, Word
 from .mealy import canonical_fingerprint  # noqa: F401 - perfbench/tracer.py wraps it here
 from .obstree import MostFrequentTree, MostRecentTree
@@ -91,9 +91,8 @@ class Reviser:
 
     The tree is the single source of truth for answers; the system is only
     consulted for words the tree cannot answer, and for equivalence testing.
-    Under collapse a conflict raises InconsistentTeacher rather than
-    pruning, and eq skips the tree check, so every counterexample costs
-    system tests, as with a classical teacher. A Reviser serves one
+    Without tree_check, eq skips the tree check, so every counterexample
+    costs system tests, as with a classical teacher. A Reviser serves one
     session: log holds every hypothesis eq was asked about, and check and
     test key by its canonical minimal machine.
     """
@@ -104,8 +103,8 @@ class Reviser:
         system: SimulatedSystem,
         sampler_cfg: SamplerConfig,
         rng: random.Random,
-        k_survive: int = 200,
-        collapse: bool = False,
+        k_survive: int,
+        tree_check: bool = True,
     ) -> None:
         if k_survive < 1:
             raise ValueError("k_survive must be positive")
@@ -114,21 +113,16 @@ class Reviser:
         self.sampler_cfg = sampler_cfg
         self.rng = rng
         self.k_survive = k_survive
-        self.collapse = collapse
-        self.prunes = 0
+        self.tree_check = tree_check
         self.log = HypothesisLog()
         self._memo: dict[MealyMachine, int] = {}  # minimal machine -> version verified against
 
     def apply(self, trace: Trace) -> Word:
         """Integrate one system trace and return its outputs.
 
-        If it changed settled answers, count a prune and raise
-        PruneRequested; under collapse raise InconsistentTeacher instead.
+        If it changed settled answers, raise PruneRequested.
         """
         if self.tree.update(trace):
-            if self.collapse:
-                raise InconsistentTeacher("an observation contradicts a stored answer")
-            self.prunes += 1
             raise PruneRequested()
         return trace.outputs
 
@@ -159,13 +153,13 @@ class Reviser:
     def test(self, h: MealyMachine) -> Optional[Trace]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
-        Requires a hypothesis consistent with the tree, unless under
-        collapse, which never checks the tree. A conflict raises as in
+        Requires a hypothesis consistent with the tree, unless tree_check
+        is off, which never checks the tree. A conflict raises as in
         apply. Returns a tree-confirmed counterexample trace on
         disagreement, and None once k_survive consecutive probes produced
         neither.
         """
-        if not self.collapse and self.check(h) is not None:
+        if self.tree_check and self.check(h) is not None:
             raise RuntimeError("test() requires a hypothesis consistent with the tree")
         sampler = PreparedSampler(h, self.sampler_cfg, self.log.canonical(h))
         survived = 0
@@ -184,10 +178,10 @@ class Reviser:
 
         Never answers "yes": the None verdict only means the hypothesis
         survived the configured amount of testing. A conflict raises as in
-        apply. Under collapse the tree check is skipped.
+        apply. Without tree_check the tree check is skipped.
         """
         self.log.record(h)
-        if not self.collapse:
+        if self.tree_check:
             found = self.check(h)
             if found is not None:
                 return found

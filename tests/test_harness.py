@@ -23,6 +23,7 @@ from ceal.harness import (
     run,
     run_grid,
 )
+from ceal.learners import InconsistentTeacher, Learner, LStarLearner
 from ceal.mealy import DotParseError, MealyMachine, write_dot
 from ceal.sul import RepeatPolicy, SimulatedSystem
 from oracles import reference_run_mat
@@ -152,9 +153,10 @@ def test_mat_collapses_under_heavy_noise_and_is_never_judged_successful():
 
 
 def test_mat_matches_reference_run_for_run():
-    # MAT is the Reviser loop with collapse set; the hand-written classical
-    # teacher must give the same RunResult for every session. The tree and
-    # selection options are set to their non-default values, which MAT ignores.
+    # MAT is the Reviser loop without tree check, ended by its first
+    # conflict; the hand-written classical teacher must give the same
+    # RunResult for every session. The tree and selection options are set
+    # to their non-default values, which MAT ignores.
     outcomes = set()
     for path in (LOCK, SESSION, PLAYER):
         target = load_target(path)
@@ -196,6 +198,39 @@ def test_ceal_counts_prunes_under_noise():
         )
         total += run(cfg, seed).prunes
     assert total > 0  # wrong votes happen at this rate; each costs a prune
+
+
+@pytest.mark.parametrize("framework", ["ceal", "mat"])
+def test_every_counted_prune_is_one_restart(framework, monkeypatch):
+    restarts = []
+    real_restart = Learner.restart
+
+    def counting(self):
+        restarts.append(self)
+        return real_restart(self)
+
+    monkeypatch.setattr(Learner, "restart", counting)
+    cfg = ExperimentConfig(
+        target=LOCK, framework=framework, noise_kind="output", noise_rate=0.3,
+        repeats=RepeatPolicy(1, 1), max_queries=2_000, seeds=(2,),
+    )
+    r = run(cfg, 2)
+    assert r.prunes == len(restarts)
+    if framework == "ceal":
+        assert r.prunes > 0 and r.terminated_by == "query_cap"
+    else:  # the first conflict ends a MAT run before any restart
+        assert r.prunes == 0 and r.terminated_by == "collapse"
+
+
+def test_mat_lets_a_learners_inconsistent_teacher_propagate(monkeypatch):
+    class Contradicted(LStarLearner):
+        def build_hypothesis(self):
+            raise InconsistentTeacher("answers fit no single machine")
+
+    monkeypatch.setitem(harness._LEARNER_CLASSES, "lstar_rs", Contradicted)
+    cfg = ExperimentConfig(target=LOCK, framework="mat", seeds=(0,))
+    with pytest.raises(InconsistentTeacher):
+        run(cfg, 0)
 
 
 @pytest.mark.parametrize("framework", ["ceal", "mat"])
@@ -471,6 +506,7 @@ def test_grid_rejects_an_empty_axis(axis, tmp_path, capsys):
     ("learners", "kv, lstar_rs, KV"),
     ("noise", "output:0.05, output:.05"),
     ("repeats", "1:1, 1: 1"),
+    ("seeds", "0..2, 1"),
 ])
 def test_grid_rejects_a_repeated_axis_entry(axis, entries, tmp_path, capsys):
     options = {"targets": LOCK, "seeds": "0", axis: entries}

@@ -9,7 +9,7 @@ import pytest
 
 from ceal.eqtest import PreparedSampler, SamplerConfig
 from ceal.harness import load_target
-from ceal.learners import InconsistentTeacher, PruneRequested
+from ceal.learners import PruneRequested
 from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import HypothesisLog, Reviser, select_final
@@ -18,7 +18,7 @@ from oracles import ReferenceHypothesisLog
 
 
 def make_reviser(target, tree=None, k_survive=50, seed=0, noise=None,
-                 max_tests=None, collapse=False):
+                 max_tests=None, tree_check=True):
     system = SimulatedSystem(
         target,
         noise if noise is not None else NoiseModel.from_seed("none", 0.0, seed),
@@ -30,8 +30,17 @@ def make_reviser(target, tree=None, k_survive=50, seed=0, noise=None,
         SamplerConfig(mean_infix=2.0, max_len=30),
         random.Random(f"{seed}:sampler"),
         k_survive=k_survive,
-        collapse=collapse,
+        tree_check=tree_check,
     )
+
+
+def count_prunes(action):
+    """Run action; return how many PruneRequested it raised (0 or 1)."""
+    try:
+        action()
+    except PruneRequested:
+        return 1
+    return 0
 
 
 class ScriptedSystem:
@@ -48,16 +57,15 @@ class ScriptedSystem:
 
 def test_apply_on_fresh_tree_never_prunes(toggle):
     r = make_reviser(toggle)
-    assert r.apply(Trace((0, 0, 0), (0, 0, 1))) == (0, 0, 1)
-    assert r.prunes == 0
+    got = []
+    assert count_prunes(lambda: got.append(r.apply(Trace((0, 0, 0), (0, 0, 1))))) == 0
+    assert got == [(0, 0, 1)]
 
 
 def test_apply_conflict_raises_prune_and_counts(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))
-    with pytest.raises(PruneRequested):
-        r.apply(Trace((0, 0), (0, 0)))
-    assert r.prunes == 1
+    assert count_prunes(lambda: r.apply(Trace((0, 0), (0, 0)))) == 1
     assert r.apply(Trace((0, 0), (0, 0))) == (0, 0)  # re-apply of stored data
 
 
@@ -82,9 +90,7 @@ def test_read_conflicting_probe_raises_prune(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))
     r.system = ScriptedSystem([(1, 1, 1)])  # contradicts stored (0,1) prefix
-    with pytest.raises(PruneRequested):
-        r.read((0, 0, 0))
-    assert r.prunes == 1
+    assert count_prunes(lambda: r.read((0, 0, 0))) == 1
 
 
 def test_check_is_free_and_exact(toggle, constant_x):
@@ -163,9 +169,7 @@ def test_test_prunes_on_conflicting_observation(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0,), (0,)))
     r.system = AllOnesSystem()  # every draw starts with 0/1, contradicting 0/0
-    with pytest.raises(PruneRequested):
-        r.test(toggle)
-    assert r.prunes == 1
+    assert count_prunes(lambda: r.test(toggle)) == 1
 
 
 def test_eq_records_before_answering(toggle, constant_x):
@@ -179,9 +183,10 @@ def test_eq_records_before_answering(toggle, constant_x):
 
 def test_eq_survival_verdict_noise_free(toggle):
     r = make_reviser(toggle, k_survive=30)
-    assert r.eq(toggle) is None
+    got = []
+    assert count_prunes(lambda: got.append(r.eq(toggle))) == 0
+    assert got == [None]
     assert sum(r.log.counts.values()) == 1
-    assert r.prunes == 0
 
 
 def test_eq_minimizes_each_hypothesis_once(toggle, monkeypatch):
@@ -239,7 +244,8 @@ def test_check_then_eq_share_one_minimization(toggle, monkeypatch):
     assert calls == [relabeled]
 
 
-def test_collapse_conflict_raises_before_counting_a_prune(toggle):
+@pytest.mark.parametrize("tree_check", [True, False])
+def test_every_conflict_raises_prune_with_or_without_tree_check(toggle, tree_check):
     conflicting = [
         lambda r: r.apply(Trace((0, 0), (0, 0))),
         lambda r: r.read((0, 0, 0)),  # probed as (1, 1, 1)
@@ -247,21 +253,19 @@ def test_collapse_conflict_raises_before_counting_a_prune(toggle):
     ]
     for system, action in zip((None, ScriptedSystem([(1, 1, 1)]), AllOnesSystem()),
                               conflicting):
-        r = make_reviser(toggle, collapse=True)
+        r = make_reviser(toggle, tree_check=tree_check)
         r.apply(Trace((0, 0), (0, 1)))
         if system is not None:
             r.system = system
-        with pytest.raises(InconsistentTeacher):
-            action(r)
-        assert r.prunes == 0
+        assert count_prunes(lambda: action(r)) == 1
 
 
 def test_collapse_eq_skips_the_tree_check(toggle, constant_x, monkeypatch):
-    r = make_reviser(toggle, k_survive=200, collapse=True)
+    r = make_reviser(toggle, k_survive=200, tree_check=False)
     r.apply(Trace((0, 0), (0, 1)))  # already contradicts constant_x
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a collapsing reviser never scans the tree")
+        raise AssertionError("a reviser without tree_check never scans the tree")
 
     monkeypatch.setattr(MostRecentTree, "find_disagreement", refuse)
     found = r.eq(constant_x)
@@ -273,12 +277,13 @@ def test_collapse_eq_skips_the_tree_check(toggle, constant_x, monkeypatch):
 
 
 def test_collapse_test_skips_the_consistency_guard(toggle, constant_x):
-    r = make_reviser(toggle, k_survive=200, collapse=True)
+    r = make_reviser(toggle, k_survive=200, tree_check=False)
     r.apply(Trace((0, 0), (0, 1)))  # would make test() raise RuntimeError
-    found = r.test(constant_x)
+    got = []
+    assert count_prunes(lambda: got.append(r.test(constant_x))) == 0
+    (found,) = got
     assert isinstance(found, Trace)
     assert toggle.run(found.inputs) == found.outputs
-    assert r.prunes == 0
 
 
 def test_hypothesis_log_counts_by_language(toggle, constant_x):
