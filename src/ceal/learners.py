@@ -13,25 +13,22 @@ refine(cex) adds at least one distinguishing experiment, so the next
 hypothesis either has more states or corrects the counterexample.
 
 A rebuild repeats no work done earlier in the same life. L* caches each
-word's row and closes the table in one forward scan over S; KV remembers
-where each word's last sift ended and resumes there. Both caches are exact
-because within a life the memo never changes, E only grows by appending,
-and the classification tree only gains nodes (a split replaces a leaf in
-place by an inner node that keeps it as a child). A cached row therefore
-lacks only the columns appended since it was computed, and the path above
-a sift's end point is the one a sift from the root would walk again, on
-memo hits alone.
+word's row and closes the table in one forward scan over S. The cache is
+exact because within a life the memo never changes and E only grows by
+appending, so a cached row lacks only the columns appended since it was
+computed.
 
-KV also keeps, on each leaf, its emission row and the leaf each one-symbol
+KV keeps, on each leaf, its emission row and the leaf each one-symbol
 extension of its access word sifted to, with that leaf's split count at the
 time. A build re-sifts an extension only when its cached successor has
 been split since, and asks and sifts in full only for leaves it has not
 built before. The shortcut is exact for the same reasons: the emission row
-is read from the memo, and a leaf that was never split still sits where
-the extension's last sift ended, so resuming there would return it without
-asking anything. The teacher sees the same calls in the same order as
-without the caches. restart() drops them with the memo, since it replaces
-the whole classification tree.
+is read from the memo, and the classification tree only gains nodes (a
+split replaces a leaf in place by an inner node that keeps it as a child),
+so a leaf that was never split is where a new sift of the extension would
+end, on memo hits alone. The teacher sees the same calls in the same order
+as without the caches. restart() drops them with the memo, since it
+replaces the whole classification tree.
 """
 
 from __future__ import annotations
@@ -144,7 +141,6 @@ class LStarLearner(Learner):
             i += 1
         m = MealyMachine(self.inputs, self.outputs, 0, tuple(transitions), tuple(emissions))
         self._hyp = m
-        self._access = list(self.S)
         return m
 
     def refine(self, cex: Trace) -> None:
@@ -165,7 +161,7 @@ class LStarLearner(Learner):
             state_after.append(h.transitions[state_after[-1]][a])
 
         def disagrees(k: int) -> bool:
-            s_k = self._access[state_after[k]]
+            s_k = self.S[state_after[k]]
             actual = self._ask(s_k + u[k:])[len(s_k):]
             predicted = h.run(u[k:], start=state_after[k])
             return actual != predicted
@@ -221,30 +217,21 @@ class KVLearner(Learner):
     def _reset(self) -> None:
         self.root = _Leaf((), None)
         self._sift_created = False
-        # word -> (parent, edge key) of the leaf its last sift ended at;
-        # parent None stands for the root
-        self._ends: dict[Word, tuple[Optional[_Inner], Word]] = {}
 
     def _tail(self, word: Word, suffix: Word) -> Word:
         return self._ask(word + suffix)[len(word):]
 
     def sift(self, word: Word) -> _Leaf:
-        """Classify a word to a leaf, materializing one if its answers are new.
-
-        Resumes from the node now at the word's last end point, which is
-        that leaf or the inner node a split put in its place.
-        """
+        """Classify a word to a leaf, materializing one if its answers are new."""
         self._sift_created = False
-        parent, key = self._ends.get(word, (None, ()))
-        node = self.root if parent is None else parent.children[key]
+        node = self.root
         while isinstance(node, _Inner):
             t = self._tail(word, node.label)
             child = node.children.get(t)
             if child is None:
                 child = node.children[t] = _Leaf(word, node)
                 self._sift_created = True
-            parent, key, node = node, t, child
-        self._ends[word] = (parent, key)
+            node = child
         return node
 
     def build_hypothesis(self) -> MealyMachine:

@@ -282,18 +282,21 @@ def random_machine(
     """Uniformly random complete machine with every state reachable.
 
     Tables are redrawn until reachability holds, so the result is a
-    deterministic function of the seed.
+    deterministic function of the seed. Raises ValueError after 1,000
+    draws: with few inputs per state almost no table is reachable.
     """
     if n_states < 1:
         raise ValueError("n_states must be positive")
     rng = random.Random(f"{seed}:machine")
     ni, no = len(inputs), len(outputs)
-    while True:
+    for _ in range(1000):
         trans = tuple(tuple(rng.randrange(n_states) for _ in range(ni)) for _ in range(n_states))
         emit = tuple(tuple(rng.randrange(no) for _ in range(ni)) for _ in range(n_states))
         m = MealyMachine(inputs, outputs, 0, trans, emit)
         if len(_reachable_order(m)) == n_states:
             return m
+    raise ValueError(f"no reachable {n_states}-state machine over {ni} inputs "
+                     f"in 1000 draws")
 
 
 class DotParseError(ValueError):

@@ -19,9 +19,6 @@ lazily created store next to `edges`.
 non-additively (some previously-answered word now answers differently or not
 at all). That flag is the trees' conflict signal: callers treat it as "your
 previous answers may be invalid".
-
-Both trees carry monotone version stamps on their nodes so that a consistency
-scan can skip subtrees untouched since an earlier scan; see find_disagreement.
 """
 
 from __future__ import annotations
@@ -32,24 +29,19 @@ from .mealy import MealyMachine, Trace, Word
 
 
 class _RNode:
-    __slots__ = ("edges", "stamp", "visible")
+    __slots__ = ("edges",)
 
-    def __init__(self, stamp: int) -> None:
+    def __init__(self) -> None:
         self.edges: dict[int, tuple[_RNode, int]] = {}
-        self.stamp = stamp
-        # a node is selected from its creation on, until it is discarded
-        self.visible = stamp
 
 
 class _FNode:
-    __slots__ = ("edges", "stamp", "weight", "visible", "others")
+    __slots__ = ("edges", "weight", "others")
 
-    def __init__(self, stamp: int) -> None:
+    def __init__(self) -> None:
         # per input symbol: the selected (child, output)
         self.edges: dict[int, tuple[_FNode, int]] = {}
-        self.stamp = stamp
         self.weight = 1
-        self.visible = stamp
         # (input, output) -> child, for every entry not selected; None until
         # some input sees a second output here
         self.others: Optional[dict[tuple[int, int], _FNode]] = None
@@ -77,8 +69,7 @@ class _SelectedEdges:
     """Traversals of the selected language, shared by both trees."""
 
     def __init__(self, node_cls: type) -> None:
-        self.version = 0
-        self.root = node_cls(0)
+        self.root = node_cls()
 
     def lookup(self, word: Word) -> Optional[Word]:
         """Stored output word for `word`, or None where the branch ends early."""
@@ -92,32 +83,23 @@ class _SelectedEdges:
             out.append(o)
         return tuple(out)
 
-    def find_disagreement(self, machine: MealyMachine, since: int = -1) -> Optional[Trace]:
+    def find_disagreement(self, machine: MealyMachine) -> Optional[Trace]:
         """Some stored trace the machine answers differently, or None.
 
-        A scan with since=v is exact for a machine known to agree with the
-        whole tree as of version v: disagreements can only appear in subtrees
-        whose content changed after v (stamp) or that became selected after
-        v (visible stamp), both maintained by update; dropping a subtree
-        alone never creates one. A MostRecentTree node is selected from its
-        creation on; a MostFrequentTree entry is selected again when a
-        weight flips.
+        Walks the whole selected language depth first and returns the first
+        mismatching edge it meets.
         """
         trans, emit = machine.transitions, machine.emissions
-        # (node, state, path, full); full forces a complete subtree scan
-        stack: list[tuple[_Node, int, _Path, bool]] = [
-            (self.root, machine.initial, None, False)
-        ]
+        stack: list[tuple[_Node, int, _Path]] = [(self.root, machine.initial, None)]
         while stack:
-            node, q, path, full = stack.pop()
+            node, q, path = stack.pop()
             row, succ = emit[q], trans[q]
             for a, (child, o) in node.edges.items():
                 if row[a] != o:
                     return _trace((path, a, o))
                 # a leaf has no edges to check
-                if child.edges and (full or child.stamp > since or child.visible > since):
-                    child_full = full or child.visible > since
-                    stack.append((child, succ[a], (path, a, o), child_full))
+                if child.edges:
+                    stack.append((child, succ[a], (path, a, o)))
         return None
 
 
@@ -140,11 +122,8 @@ class MostRecentTree(_SelectedEdges):
         """
         if len(trace.inputs) != len(trace.outputs):
             raise ValueError("trace input and output words differ in length")
-        self.version += 1
-        version = self.version
         conflicted = False
         node = self.root
-        node.stamp = version
         for a, o in zip(trace.inputs, trace.outputs):
             edge = node.edges.get(a)
             if edge is not None and edge[1] == o:
@@ -152,10 +131,9 @@ class MostRecentTree(_SelectedEdges):
             else:
                 if edge is not None:
                     conflicted = True
-                child = _RNode(version)
+                child = _RNode()
                 node.edges[a] = (child, o)
                 node = child
-            node.stamp = version
         return conflicted
 
 
@@ -189,16 +167,13 @@ class MostFrequentTree(_SelectedEdges):
         """
         if len(trace.inputs) != len(trace.outputs):
             raise ValueError("trace input and output words differ in length")
-        self.version += 1
-        version = self.version
         conflicted = False
         mainbranch = True
         node = self.root
-        node.stamp = version
         for a, o in zip(trace.inputs, trace.outputs):
             pre = node.edges.get(a)
             if pre is None:
-                child = _FNode(version)
+                child = _FNode()
                 node.edges[a] = (child, o)
             elif pre[1] == o:
                 child = pre[0]
@@ -209,18 +184,16 @@ class MostFrequentTree(_SelectedEdges):
                     others = node.others = {}
                 child = others.pop((a, o), None)
                 if child is None:
-                    child = _FNode(version)
+                    child = _FNode()
                 else:
                     child.weight += 1
                 if child.weight >= pre[0].weight:
                     node.edges[a] = (child, o)
                     others[(a, pre[1])] = pre[0]
-                    child.visible = version
                     if mainbranch:
                         conflicted = True
                 else:
                     others[(a, o)] = child
                     mainbranch = False
             node = child
-            node.stamp = version
         return conflicted

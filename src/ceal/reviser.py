@@ -6,9 +6,11 @@ language, never from the system directly. When an integration changes the
 tree's language non-additively the reviser raises PruneRequested, telling
 the learner its internal state may rest on retracted answers. A learner
 asking through ``read`` unwinds on it, so ``read`` is a teacher as it
-stands. What a conflict means is the caller's decision. With
-``tree_check`` off the reviser is a classical MAT teacher over the same
-tree: equivalence queries get no free counterexamples from the tree.
+stands. What a conflict means is the caller's decision. An equivalence
+query first scans the whole tree once for a stored trace the hypothesis
+mislabels, at no test cost. With ``tree_check`` off the reviser is a
+classical MAT teacher over the same tree: equivalence queries get no free
+counterexamples from the tree.
 
 The reviser also logs every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
@@ -41,8 +43,8 @@ class HypothesisLog:
     Each hypothesis is keyed by its canonical minimal machine, which
     canonical memoizes per table for as long as the log lives, i.e. one
     session: a learner restarted after a prune mostly re-proposes machines
-    it has proposed before, and the reviser's check and test key by the same
-    machine. counts keeps its keys in first-seen order; representatives
+    it has proposed before, and the reviser's test prepares its sampler from
+    the same machine. counts keeps its keys in first-seen order; representatives
     keeps, per key, the first table proposed with that language.
     """
 
@@ -93,8 +95,8 @@ class Reviser:
     consulted for words the tree cannot answer, and for equivalence testing.
     Without tree_check, eq skips the tree check, so every counterexample
     costs system tests, as with a classical teacher. A Reviser serves one
-    session: log holds every hypothesis eq was asked about, and check and
-    test key by its canonical minimal machine.
+    session: log holds every hypothesis eq was asked about, and test
+    prepares its sampler from the log's canonical minimal machine.
     """
 
     def __init__(
@@ -115,7 +117,6 @@ class Reviser:
         self.k_survive = k_survive
         self.tree_check = tree_check
         self.log = HypothesisLog()
-        self._memo: dict[MealyMachine, int] = {}  # minimal machine -> version verified against
 
     def apply(self, trace: Trace) -> Word:
         """Integrate one system trace and return its outputs.
@@ -137,30 +138,25 @@ class Reviser:
         return self.apply(self.system.probe(word, phase="mq"))
 
     def check(self, h: MealyMachine) -> Optional[Trace]:
-        """Scan the tree for a stored trace the hypothesis mislabels.
+        """Scan the whole tree for a stored trace the hypothesis mislabels.
 
-        Costs zero system tests. Scans are incremental: once a hypothesis
-        (up to language equivalence) has been verified against the whole
-        tree, later scans cover only the parts touched since.
+        Costs zero system tests.
         """
-        minimal = self.log.canonical(h)
-        since = self._memo.get(minimal, -1)
-        found = self.tree.find_disagreement(h, since=since)
-        if found is None:
-            self._memo[minimal] = self.tree.version
-        return found
+        return self.tree.find_disagreement(h)
 
     def test(self, h: MealyMachine) -> Optional[Trace]:
         """Probe sampled words until a counterexample, a conflict, or survival.
 
-        Requires a hypothesis consistent with the tree, unless tree_check
-        is off, which never checks the tree. A conflict raises as in
-        apply. Returns a tree-confirmed counterexample trace on
-        disagreement, and None once k_survive consecutive probes produced
-        neither.
+        With tree_check, check runs first, and a stored trace it finds is
+        returned at no test cost; without tree_check the tree is never
+        scanned. A conflict raises as in apply. Returns a tree-confirmed
+        counterexample trace on disagreement, and None once k_survive
+        consecutive probes produced neither.
         """
-        if self.tree_check and self.check(h) is not None:
-            raise RuntimeError("test() requires a hypothesis consistent with the tree")
+        if self.tree_check:
+            found = self.check(h)
+            if found is not None:
+                return found
         sampler = PreparedSampler(h, self.sampler_cfg, self.log.canonical(h))
         survived = 0
         while survived < self.k_survive:
@@ -174,15 +170,11 @@ class Reviser:
         return None
 
     def eq(self, h: MealyMachine) -> Optional[Trace]:
-        """Equivalence query: record in the log, check against the tree, then test.
+        """Equivalence query: record h in the log, then test it.
 
         Never answers "yes": the None verdict only means the hypothesis
         survived the configured amount of testing. A conflict raises as in
         apply. Without tree_check the tree check is skipped.
         """
         self.log.record(h)
-        if self.tree_check:
-            found = self.check(h)
-            if found is not None:
-                return found
         return self.test(h)

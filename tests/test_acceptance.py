@@ -144,7 +144,7 @@ def test_criterion_03_prune_iff_non_additive_update():
                 prunes_seen += 1
         for h in (target, random_machine(2, SIGMA, GAMMA, seed=1000 + r)):
             if reviser.check(h) is not None:
-                continue  # test() requires a tree-coherent hypothesis
+                continue  # eq() would answer from the tree, probing nothing
             try:
                 reviser.eq(h)
             except PruneRequested:

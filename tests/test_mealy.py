@@ -366,3 +366,9 @@ def test_random_machine_deterministic_and_reachable():
 
     single = random_machine(1, sigma, gamma, 0)
     assert single.transitions == ((0,),)
+
+
+def test_random_machine_gives_up_on_a_sparse_alphabet():
+    # a 20-state table over one input is reachable with odds of about 2e-8
+    with pytest.raises(ValueError, match="20-state machine over 1 inputs"):
+        random_machine(20, Alphabet(("a",)), Alphabet(("x", "y")), seed=0)

@@ -200,7 +200,6 @@ def test_frequent_tree_flip_uncovers_churned_subtree():
     assert t.lookup((0, 1)) is None
     old = _machine_answering(language(t), 3)
     assert t.find_disagreement(old) is None
-    checked_at = t.version
 
     flip = [tr("0", "1"), tr("0", "1")]  # 0/1 reaches 12:12 and is newer
     assert t.update(flip[0]) is False
@@ -211,19 +210,17 @@ def test_frequent_tree_flip_uncovers_churned_subtree():
     assert t.lookup((0, 1)) == (1, 2)
     assert t.lookup((0, 1, 1)) == (1, 2, 1)
 
-    found = t.find_disagreement(old, since=checked_at)
+    found = t.find_disagreement(old)
     assert found is not None and found in expected
     assert old.run(found.inputs) != found.outputs
     new = _machine_answering(expected, 3)
     assert t.find_disagreement(new) is None
     assert not naive_disagreement(expected, new)
-    # a losing output anywhere in the uncovered subtree is caught, also by
-    # the partial scan, which rescans a newly selected subtree in full
+    # a losing output anywhere in the uncovered subtree is caught
     for word, losing in (((0, 1), 0), ((0, 1), 1), ((0, 1, 1), 0), ((0, 1, 1), 2)):
         stale = _machine_answering(expected, 3, (word, losing))
         assert naive_disagreement(expected, stale)
-        for since in (-1, checked_at):
-            assert t.find_disagreement(stale, since=since) == Trace(word, t.lookup(word))
+        assert t.find_disagreement(stale) == Trace(word, t.lookup(word))
 
 
 def test_update_rejects_ragged_trace():
@@ -236,12 +233,11 @@ def test_update_rejects_ragged_trace():
 @pytest.mark.parametrize("tree_cls", [MostRecentTree, MostFrequentTree])
 @pytest.mark.parametrize("seed,n_outputs", _seeds(6))
 def test_incremental_disagreement_scan_is_exact(tree_cls, seed, n_outputs):
-    """Version-stamped partial scans must agree with a from-scratch check."""
+    """A full scan after every update agrees with a from-scratch check."""
     rng = random.Random(1000 + seed)
     outputs = Alphabet(("x", "y", "z")[:n_outputs])
     machine = random_machine(3, Alphabet(("a", "b")), outputs, seed=seed)
     t = tree_cls()
-    checked_at = -1
     for step in range(60):
         k = rng.randint(1, 5)
         word = tuple(rng.randrange(2) for _ in range(k))
@@ -254,11 +250,9 @@ def test_incremental_disagreement_scan_is_exact(tree_cls, seed, n_outputs):
             else:
                 outs[j] = (outs[j] + rng.randrange(1, n_outputs)) % n_outputs
         t.update(Trace(word, tuple(outs)))
-        found = t.find_disagreement(machine, since=checked_at)
+        found = t.find_disagreement(machine)
         truth = naive_disagreement(language(t), machine)
         assert (found is not None) == truth
         if found is not None:
             assert machine.run(found.inputs) != found.outputs
             assert found in language(t)
-        else:
-            checked_at = t.version

@@ -110,7 +110,7 @@ def test_check_empty_tree_accepts_anything(toggle, constant_x):
     assert r.check(constant_x) is None
 
 
-def test_check_memo_stays_exact_across_updates(toggle):
+def test_check_stays_exact_across_updates(toggle):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))
     assert r.check(toggle) is None
@@ -124,8 +124,24 @@ def test_check_memo_stays_exact_across_updates(toggle):
 def test_test_rejects_incoherent_hypothesis(toggle, constant_x):
     r = make_reviser(toggle)
     r.apply(Trace((0, 0), (0, 1)))  # already contradicts constant_x
-    with pytest.raises(RuntimeError):
-        r.test(constant_x)
+    # the tree's own counterexample, before any sampled test
+    assert r.test(constant_x) == r.check(constant_x) == Trace((0, 0), (0, 1))
+    assert r.system.meter.tests == 0
+
+
+def test_eq_scans_the_tree_once(toggle, monkeypatch):
+    r = make_reviser(toggle, k_survive=30)
+    r.apply(Trace((0, 0), (0, 1)))
+    scans = []
+    real_scan = MostRecentTree.find_disagreement
+
+    def counting(tree, machine, *args, **kwargs):
+        scans.append(machine)
+        return real_scan(tree, machine, *args, **kwargs)
+
+    monkeypatch.setattr(MostRecentTree, "find_disagreement", counting)
+    assert r.eq(toggle) is None
+    assert scans == [toggle]
 
 
 def test_test_survival_costs_exactly_k_tests(toggle):
@@ -220,7 +236,7 @@ def test_bare_test_minimizes_once(monkeypatch):
     monkeypatch.setattr("ceal.eqtest.minimize", counting)
     r = make_reviser(lock, k_survive=30)
     assert r.test(lock) is None
-    # one minimization serves the tree check's memo key and the sampler
+    # the sampler's minimization is the only one; the tree check needs none
     assert calls == [lock]
 
 
@@ -240,7 +256,7 @@ def test_check_then_eq_share_one_minimization(toggle, monkeypatch):
     r.apply(Trace((0, 0), (0, 1)))
     assert r.check(relabeled) is None
     assert r.eq(relabeled) is None
-    # the log's memo serves the bare check, the record, the check and the sampler
+    # the record's minimization serves the sampler; the checks need none
     assert calls == [relabeled]
 
 
@@ -278,7 +294,7 @@ def test_collapse_eq_skips_the_tree_check(toggle, constant_x, monkeypatch):
 
 def test_collapse_test_skips_the_consistency_guard(toggle, constant_x):
     r = make_reviser(toggle, k_survive=200, tree_check=False)
-    r.apply(Trace((0, 0), (0, 1)))  # would make test() raise RuntimeError
+    r.apply(Trace((0, 0), (0, 1)))  # a tree check would refute constant_x
     got = []
     assert count_prunes(lambda: got.append(r.test(constant_x))) == 0
     (found,) = got
