@@ -1,8 +1,8 @@
 """Experiment orchestration: single runs, parameter grids, report emission.
 
-One run (``run``) wires a learner through a Reviser and majority voting to
-a noisy simulated system, and judges the final model against the
-noise-free target. The frameworks differ in what a conflict means to
+One run (``run``) wires a learner through a voting Reviser to a noisy
+simulated system, and judges the final model against the noise-free
+target. The frameworks differ in what a conflict means to
 ``run``: ceal prunes and restarts the learner, MAT collapses the run. A
 grid crosses targets, frameworks, learners, noise settings and repeat
 policies, runs every seed of every cell, and aggregates per-cell success
@@ -35,24 +35,11 @@ from typing import Callable, Optional, Sequence
 
 from .eqtest import SamplerConfig
 from .learners import KVLearner, LStarLearner, PruneRequested
-from .mealy import (
-    DotParseError,
-    MealyMachine,
-    Trace,
-    Word,
-    find_counterexample,
-    parse_dot,
-)
+from .mealy import DotParseError, MealyMachine, find_counterexample, parse_dot
 from .obstree import MostFrequentTree, MostRecentTree
 from .reviser import Reviser, select_final
-from .sul import (
-    NOISE_KINDS,
-    BudgetExhausted,
-    NoiseModel,
-    RepeatPolicy,
-    SimulatedSystem,
-    majority_query,
-)
+from .sul import NOISE_KINDS, BudgetExhausted, NoiseModel, RepeatPolicy, SimulatedSystem
+from .sul import majority_query  # noqa: F401 - perfbench/tracer.py wraps it here
 
 FRAMEWORKS = ("mat", "ceal")
 STRATEGIES = ("most_recent", "most_frequent")
@@ -140,23 +127,6 @@ class RunResult:
     terminated_by: str  # stability | query_cap | collapse
 
 
-class _VotingSystem:
-    """System facade that majority-votes every probe behind one interface.
-
-    Each requested word is re-run per the repeat policy and the agreed
-    output word is returned as a single trace, so the Reviser above sees a
-    denoised system. Both frameworks vote through it; budget accounting
-    stays on the wrapped system's meter.
-    """
-
-    def __init__(self, system: SimulatedSystem, policy: RepeatPolicy) -> None:
-        self.system = system
-        self.policy = policy
-
-    def probe(self, word: Word, phase: str = "mq") -> Trace:
-        return Trace(word, majority_query(self.system, word, self.policy, phase))
-
-
 def load_target(path: str | Path) -> MealyMachine:
     """Read and parse a DOT model file; each distinct text is parsed once.
 
@@ -175,19 +145,19 @@ def _parse_target(text: str) -> MealyMachine:
 
 
 def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None) -> RunResult:
-    """One learning session: learner <-> Reviser <-> voting <-> noisy system.
+    """One learning session: learner <-> Reviser <-> noisy system.
 
-    The learner asks reviser.read directly. Every probe is majority-voted
-    per cfg.repeats in both frameworks, so their comparison isolates
-    conflict handling. A conflict raises PruneRequested, from a membership
-    query or reviser.eq alike, and this one handler decides what it means:
-    ceal counts a prune and restarts the learner, and MAT (a Reviser
-    without tree check, on a most_recent tree) ends the run unjudged as
-    "collapse". The tree, the hypothesis log and the meter persist across
-    restarts; the final model is selected from that log per cfg.selection,
-    or is the latest hypothesis under MAT. An InconsistentTeacher from the
-    learner propagates. Hitting the query cap ends the run, and the final
-    model is still judged.
+    The learner asks reviser.read directly. The Reviser majority-votes every
+    word it asks the system per cfg.repeats in both frameworks, so their
+    comparison isolates conflict handling. A conflict raises
+    PruneRequested, from a membership query or reviser.eq alike, and this
+    one handler decides what it means: ceal counts a prune and restarts
+    the learner, and MAT (a Reviser without tree check, on a most_recent
+    tree) ends the run unjudged as "collapse". The tree, the hypothesis
+    log and the meter persist across restarts; the final model is selected
+    from that log per cfg.selection, or is the latest hypothesis under MAT.
+    An InconsistentTeacher from the learner propagates. Hitting the query
+    cap ends the run, and the final model is still judged.
     """
     if target is None:
         target = load_target(cfg.target)
@@ -200,7 +170,8 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
     frequent = cfg.update_strategy == "most_frequent" and not mat
     reviser = Reviser(
         MostFrequentTree() if frequent else MostRecentTree(),
-        _VotingSystem(system, cfg.repeats),
+        system,
+        cfg.repeats,
         cfg.sampler,
         random.Random(f"{seed}:sampler"),
         k_survive=cfg.k_survive,

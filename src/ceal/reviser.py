@@ -1,16 +1,18 @@
 """The reviser: the conflict-aware middle layer between learner and system.
 
-Every raw system trace is integrated into the observation tree before any
-other use, and every answer handed upward is read back from the tree's
-language, never from the system directly. When an integration changes the
-tree's language non-additively the reviser raises PruneRequested, telling
-the learner its internal state may rest on retracted answers. A learner
-asking through ``read`` unwinds on it, so ``read`` is a teacher as it
-stands. What a conflict means is the caller's decision. An equivalence
-query first scans the whole tree once for a stored trace the hypothesis
-mislabels, at no test cost. With ``tree_check`` off the reviser is a
-classical MAT teacher over the same tree: equivalence queries get no free
-counterexamples from the tree.
+The reviser majority-votes every word it asks the system under its
+RepeatPolicy. Every voted answer is integrated into the observation tree,
+under the word that was asked, before any other use, and every answer
+handed upward is read back from the tree's language, never from the
+system directly. When an integration changes the tree's language
+non-additively the reviser raises PruneRequested, telling the learner its
+internal state may rest on retracted answers. A learner asking through
+``read`` unwinds on it, so ``read`` is a teacher as it stands. What a
+conflict means is the caller's decision. An equivalence query first scans
+the whole tree once for a stored trace the hypothesis mislabels, at no
+test cost. With ``tree_check`` off the reviser is a classical MAT teacher
+over the same tree: equivalence queries get no free counterexamples from
+the tree.
 
 The reviser also logs every proposed hypothesis (up to language
 equivalence) so a final model can be selected when a noisy run is cut off
@@ -25,13 +27,13 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from . import mealy
+from . import mealy, sul
 from .eqtest import PreparedSampler, SamplerConfig
 from .learners import PruneRequested
 from .mealy import MealyMachine, Trace, Word
 from .mealy import canonical_fingerprint  # noqa: F401 - perfbench/tracer.py wraps it here
 from .obstree import MostFrequentTree, MostRecentTree
-from .sul import SimulatedSystem
+from .sul import RepeatPolicy, SimulatedSystem
 
 
 Tree = Union[MostRecentTree, MostFrequentTree]
@@ -92,8 +94,8 @@ class Reviser:
     """Answers membership and equivalence queries through an observation tree.
 
     The tree is the single source of truth for answers; the system is only
-    consulted for words the tree cannot answer, and for equivalence testing.
-    Without tree_check, eq skips the tree check, so every counterexample
+    consulted, one vote under policy per word, for words the tree cannot
+    answer and for equivalence testing. Without tree_check, eq skips the tree check, so every counterexample
     costs system tests, as with a classical teacher. A Reviser serves one
     session: log holds every hypothesis eq was asked about, and test
     prepares its sampler from the log's canonical minimal machine.
@@ -103,6 +105,7 @@ class Reviser:
         self,
         tree: Tree,
         system: SimulatedSystem,
+        policy: RepeatPolicy,
         sampler_cfg: SamplerConfig,
         rng: random.Random,
         k_survive: int,
@@ -112,6 +115,7 @@ class Reviser:
             raise ValueError("k_survive must be positive")
         self.tree = tree
         self.system = system
+        self.policy = policy
         self.sampler_cfg = sampler_cfg
         self.rng = rng
         self.k_survive = k_survive
@@ -119,7 +123,7 @@ class Reviser:
         self.log = HypothesisLog()
 
     def apply(self, trace: Trace) -> Word:
-        """Integrate one system trace and return its outputs.
+        """Integrate one trace and return its outputs.
 
         If it changed settled answers, raise PruneRequested.
         """
@@ -128,14 +132,15 @@ class Reviser:
         return trace.outputs
 
     def read(self, word: Word) -> Word:
-        """Membership answer: from the tree if stored, else one system probe.
+        """Membership answer: from the tree if stored, else one voted query.
 
-        A conflicting probe raises as in apply.
+        A conflicting answer raises as in apply.
         """
         stored = self.tree.lookup(word)
         if stored is not None:
             return stored
-        return self.apply(self.system.probe(word, phase="mq"))
+        # via the module, where perfbench/tracer.py wraps majority_query
+        return self.apply(Trace(word, sul.majority_query(self.system, word, self.policy, "mq")))
 
     def check(self, h: MealyMachine) -> Optional[Trace]:
         """Scan the whole tree for a stored trace the hypothesis mislabels.
@@ -145,13 +150,13 @@ class Reviser:
         return self.tree.find_disagreement(h)
 
     def test(self, h: MealyMachine) -> Optional[Trace]:
-        """Probe sampled words until a counterexample, a conflict, or survival.
+        """Vote sampled words until a counterexample, a conflict, or survival.
 
         With tree_check, check runs first, and a stored trace it finds is
         returned at no test cost; without tree_check the tree is never
         scanned. A conflict raises as in apply. Returns a tree-confirmed
         counterexample trace on disagreement, and None once k_survive
-        consecutive probes produced neither.
+        consecutive voted words produced neither.
         """
         if self.tree_check:
             found = self.check(h)
@@ -161,11 +166,10 @@ class Reviser:
         survived = 0
         while survived < self.k_survive:
             word = sampler.draw(self.rng)
-            trace = self.system.probe(word, phase="eq")
-            self.apply(trace)
-            confirmed = self.tree.lookup(trace.inputs)
-            if confirmed is not None and h.run(trace.inputs) != confirmed:
-                return Trace(trace.inputs, confirmed)
+            self.apply(Trace(word, sul.majority_query(self.system, word, self.policy, "eq")))
+            confirmed = self.tree.lookup(word)
+            if confirmed is not None and h.run(word) != confirmed:
+                return Trace(word, confirmed)
             survived += 1
         return None
 

@@ -15,17 +15,19 @@ makes the same draws and returns the same symbol without the cost of
 randrange's argument checks. Seeded runs therefore depend only on which
 words are probed, in which order.
 
-A probe remembers the noise-free Trace of the last word it ran on the
-target, so voting the same word runs the target once and then only draws
-noise. A probe whose noise hit no symbol returns that Trace object as it
-is; a new Trace is built only when the noise hit a symbol. Under input
+A probe answers with the output word it observed, never with the input
+word it executed: a closed-box learner cannot see input noise, so every
+answer belongs to the word that was asked. A probe remembers the
+noise-free output of the last word it ran on the target, so voting the
+same word runs the target once and then only draws noise. A probe whose
+noise hit no symbol returns that output object as it is. Under input
 noise the memo answers whenever the executed word is the memoized word; a
 perturbed word is run on the target without replacing the memo, so the
 word being voted stays memoized. The memo holds one entry and is dropped
 when the system's target is replaced.
 
-majority_query is the repeated-voting wrapper a conventional teacher uses to
-answer membership queries over a noisy system.
+majority_query votes one word under a RepeatPolicy; the Reviser asks the
+system every word it needs through it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .mealy import MealyMachine, Trace, Word
+from .mealy import MealyMachine, Word
 
 NOISE_KINDS = ("none", "input", "output")
 
@@ -148,31 +150,27 @@ class SimulatedSystem:
         self._target = machine
         self._n_inputs = len(machine.inputs)
         self._n_outputs = len(machine.outputs)
-        # the noise-free trace of the last word run on this target; the empty
-        # word's trace is exact for any machine
-        self._memo = Trace((), ())
+        # the last word run on this target and its noise-free outputs; the
+        # empty word's are exact for any machine
+        self._memo_word: Word = ()
+        self._memo_outputs: Word = ()
 
-    def probe(self, word: Word, phase: str = "mq") -> Trace:
-        """One reset + one word on the system; returns the trace as observed.
-
-        Under input noise the returned trace carries the perturbed input word
-        that was actually executed, so callers store what really happened.
-        """
+    def probe(self, word: Word, phase: str = "mq") -> Word:
+        """One reset + one word on the system; returns the outputs as observed."""
         if self.max_tests is not None and self.meter.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
         executed = noise.perturb(word, self._n_inputs) if noise.kind == "input" else word
-        memo = self._memo
-        if executed != memo.inputs:
-            memo = Trace(executed, self._target.run(executed))
+        if executed == self._memo_word:
+            outputs = self._memo_outputs
+        else:
+            outputs = self._target.run(executed)
             if executed is word:
-                self._memo = memo
+                self._memo_word, self._memo_outputs = word, outputs
         self.meter.charge(len(executed), phase)
         if noise.kind == "output":
-            outputs = noise.perturb(memo.outputs, self._n_outputs)
-            if outputs is not memo.outputs:
-                return Trace(executed, outputs)
-        return memo
+            return noise.perturb(outputs, self._n_outputs)
+        return outputs
 
 
 def majority_query(
@@ -188,10 +186,10 @@ def majority_query(
     plurality wins, ties going to the lexicographically least output word.
     """
     probe = system.probe
-    first = probe(word, phase).outputs
+    first = probe(word, phase)
     agreed = 1
     while agreed < policy.min_repeats:
-        out = probe(word, phase).outputs
+        out = probe(word, phase)
         if out is not first and out != first:
             break
         agreed += 1
@@ -208,7 +206,7 @@ def majority_query(
                 return next(w for w, n in votes.items() if n == best_n)
             if total >= policy.max_repeats:
                 return min(w for w, n in votes.items() if n == best_n)
-        out = probe(word, phase).outputs
+        out = probe(word, phase)
         n = votes[out] = votes.get(out, 0) + 1
         if n > best_n:
             best_n = n

@@ -15,7 +15,7 @@ from pathlib import Path
 from oracles import language, prefixes, replay_heaviest_wins, replay_latest_wins
 
 from ceal.eqtest import SamplerConfig
-from ceal.harness import ExperimentConfig, _VotingSystem, emit_report, run, run_grid
+from ceal.harness import ExperimentConfig, emit_report, run, run_grid
 from ceal.learners import LStarLearner, PruneRequested
 from ceal.mealy import (
     Alphabet,
@@ -103,7 +103,7 @@ class _FlipSystem:
             if self.rng.random() < self.rate else o
             for o in self.target.run(word)
         )
-        return Trace(tuple(word), outs)
+        return outs
 
 
 def test_criterion_03_prune_iff_non_additive_update():
@@ -129,12 +129,13 @@ def test_criterion_03_prune_iff_non_additive_update():
         real_probe = system.probe
 
         def spy_probe(word, phase="mq", _real=real_probe):
-            t = _real(word, phase)
-            events.append(("probe", t))
-            return t
+            outputs = _real(word, phase)
+            events.append(("probe", Trace(tuple(word), outputs)))
+            return outputs
 
         system.probe = spy_probe
-        reviser = Reviser(tree, system, SamplerConfig(mean_infix=2.0, max_len=10),
+        reviser = Reviser(tree, system, RepeatPolicy(1, 1),
+                          SamplerConfig(mean_infix=2.0, max_len=10),
                           random.Random(f"c3s:{r}"), k_survive=8)
         for j in range(4):
             word = tuple(rng.randrange(2) for _ in range(rng.randint(1, 6)))
@@ -199,7 +200,8 @@ def test_criterion_05_noise_free_convergence():
 def test_criterion_06_restart_is_free_for_answered_queries():
     target = load_benchmark("lock")
     system = SimulatedSystem(target, NoiseModel.from_seed("none", 0.0, 0))
-    reviser = Reviser(MostRecentTree(), system, SamplerConfig(mean_infix=2.0, max_len=30),
+    reviser = Reviser(MostRecentTree(), system, RepeatPolicy(1, 1),
+                      SamplerConfig(mean_infix=2.0, max_len=30),
                       random.Random("c6:sampler"), k_survive=50)
     answered: dict[tuple, tuple] = {}
 

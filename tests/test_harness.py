@@ -240,9 +240,9 @@ def test_every_charged_test_is_one_probe_call(monkeypatch, framework, noise_kind
     returned = [0]
 
     def counted(self, word, phase="mq"):
-        trace = probe(self, word, phase)
+        outputs = probe(self, word, phase)
         returned[0] += 1
-        return trace
+        return outputs
 
     monkeypatch.setattr(SimulatedSystem, "probe", counted)
     cfg = ExperimentConfig(

@@ -21,7 +21,7 @@ from ceal.mealy import (
 )
 from ceal.obstree import MostRecentTree
 from ceal.reviser import Reviser
-from ceal.sul import NoiseModel, SimulatedSystem
+from ceal.sul import NoiseModel, RepeatPolicy, SimulatedSystem
 from oracles import ReferenceKVLearner, ReferenceLStarLearner
 
 LEARNERS = [LStarLearner, KVLearner]
@@ -194,7 +194,7 @@ def test_restarted_learner_rebuilds_from_tree_for_free(learner_cls):
     target = random_machine(5, Alphabet(("a", "b")), Alphabet(("0", "1")), 11)
     system = SimulatedSystem(target, NoiseModel.from_seed("none", 0.0, 0))
     reviser = Reviser(
-        MostRecentTree(), system, SamplerConfig(mean_infix=2.0, max_len=40),
+        MostRecentTree(), system, RepeatPolicy(1, 1), SamplerConfig(mean_infix=2.0, max_len=40),
         random.Random("0:sampler"), k_survive=40,
     )
     learner = learner_cls(target.inputs, target.outputs, reviser.read)

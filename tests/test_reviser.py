@@ -13,12 +13,12 @@ from ceal.learners import PruneRequested
 from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import HypothesisLog, Reviser, select_final
-from ceal.sul import NoiseModel, SimulatedSystem
+from ceal.sul import NoiseModel, RepeatPolicy, SimulatedSystem
 from oracles import ReferenceHypothesisLog
 
 
 def make_reviser(target, tree=None, k_survive=50, seed=0, noise=None,
-                 max_tests=None, tree_check=True):
+                 max_tests=None, tree_check=True, policy=RepeatPolicy(1, 1)):
     system = SimulatedSystem(
         target,
         noise if noise is not None else NoiseModel.from_seed("none", 0.0, seed),
@@ -27,6 +27,7 @@ def make_reviser(target, tree=None, k_survive=50, seed=0, noise=None,
     return Reviser(
         tree if tree is not None else MostRecentTree(),
         system,
+        policy,
         SamplerConfig(mean_infix=2.0, max_len=30),
         random.Random(f"{seed}:sampler"),
         k_survive=k_survive,
@@ -52,7 +53,7 @@ class ScriptedSystem:
 
     def probe(self, word, phase="mq"):
         self.probed.append((tuple(word), phase))
-        return Trace(tuple(word), tuple(self.plan.pop(0)))
+        return tuple(self.plan.pop(0))
 
 
 def test_apply_on_fresh_tree_never_prunes(toggle):
@@ -84,6 +85,65 @@ def test_read_unknown_word_probes_once_then_caches(toggle):
     assert r.read((0, 0, 0)) == (0, 1, 0)
     assert r.system.meter.tests == 1
     assert r.system.meter.mq_symbols == 3
+
+
+def test_read_votes_under_the_policy_and_stores_one_trace(toggle):
+    tree = MostRecentTree()
+    updates = []
+    real_update = tree.update
+
+    def spy_update(trace):
+        updates.append(trace)
+        return real_update(trace)
+
+    tree.update = spy_update
+    r = make_reviser(toggle, tree=tree, policy=RepeatPolicy(5, 10))
+    assert r.read((0, 0, 0)) == (0, 1, 0)
+    m = r.system.meter
+    assert (m.tests, m.mq_symbols, m.eq_symbols) == (5, 15, 0)  # unanimous at min_repeats
+    assert updates == [Trace((0, 0, 0), (0, 1, 0))]
+
+
+def test_test_votes_are_charged_to_eq_symbols(toggle):
+    r = make_reviser(toggle, k_survive=4, policy=RepeatPolicy(5, 10))
+    assert r.test(toggle) is None
+    sampler = PreparedSampler(toggle, r.sampler_cfg)
+    rng = random.Random("0:sampler")
+    drawn = [sampler.draw(rng) for _ in range(4)]
+    m = r.system.meter
+    assert m.tests == 5 * 4
+    assert m.eq_symbols == m.symbols == 5 * sum(map(len, drawn))
+    assert m.mq_symbols == 0
+
+
+@pytest.mark.parametrize(
+    "tree_cls",
+    [
+        MostRecentTree,
+        pytest.param(MostFrequentTree, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 1: apply returns the new answer even when a heavier "
+                   "stored answer keeps the selection",
+        )),
+    ],
+)
+def test_read_under_input_noise_answers_what_the_tree_holds(tree_cls):
+    lock = load_target(Path(__file__).resolve().parent.parent / "benchmarks" / "lock.dot")
+    answered = differ = 0
+    for seed in range(5):
+        r = make_reviser(lock, tree=tree_cls(), seed=seed,
+                         noise=NoiseModel.from_seed("input", 0.5, seed))
+        rng = random.Random(f"{seed}:words")
+        for _ in range(40):
+            word = tuple(rng.randrange(len(lock.inputs)) for _ in range(rng.randint(1, 8)))
+            try:
+                answer = r.read(word)
+            except PruneRequested:
+                continue
+            answered += 1
+            differ += answer != r.tree.lookup(word)
+    assert answered > 100
+    assert differ == 0, f"{differ} of {answered} answers differ from the tree"
 
 
 def test_read_conflicting_probe_raises_prune(toggle):
@@ -178,7 +238,7 @@ class AllOnesSystem:
     """Stub answering every probe with all-ones output, whatever the length."""
 
     def probe(self, word, phase="mq"):
-        return Trace(tuple(word), tuple(1 for _ in word))
+        return tuple(1 for _ in word)
 
 
 def test_test_prunes_on_conflicting_observation(toggle):
@@ -399,9 +459,9 @@ def test_every_probe_is_integrated_before_any_answer(toggle, tree_cls):
     real_probe = r.system.probe
 
     def spy_probe(word, phase="mq"):
-        t = real_probe(word, phase)
-        events.append(("probe", t))
-        return t
+        outputs = real_probe(word, phase)
+        events.append(("probe", Trace(word, outputs)))
+        return outputs
 
     r.system.probe = spy_probe
     r.read((0, 0, 0))

@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from ceal.mealy import Alphabet, MealyMachine, Trace, random_machine
+from itertools import product
+
+from ceal.mealy import Alphabet, MealyMachine, random_machine
 from ceal.sul import (
     BudgetExhausted,
     NoiseModel,
@@ -30,7 +32,7 @@ def one_state(n_outputs: int) -> MealyMachine:
 
 def test_noise_free_probe_is_passthrough(toggle):
     sys = SimulatedSystem(toggle, quiet())
-    assert sys.probe((0, 0, 0)) == Trace((0, 0, 0), (0, 1, 0))
+    assert sys.probe((0, 0, 0)) == (0, 1, 0)
     assert sys.meter.tests == 1
     assert sys.meter.symbols == 3
 
@@ -73,37 +75,33 @@ def test_budget_exhausted_before_excess_probe(toggle):
 def test_output_noise_flip_rate_matches_inclusive_uniform():
     # rate 0.1 over 4 outputs: actual flips happen at 0.1 * 3/4 = 0.075
     sys = SimulatedSystem(one_state(4), quiet("output", 0.1, seed=42))
-    flips = sum(sys.probe((0,)).outputs != (0,) for _ in range(10_000))
+    flips = sum(sys.probe((0,)) != (0,) for _ in range(10_000))
     assert abs(flips / 10_000 - 0.075) <= 0.01
 
 
 def test_output_noise_degenerate_alphabet_never_flips():
     sys = SimulatedSystem(one_state(1), quiet("output", 1.0, seed=1))
-    assert all(sys.probe((0,)).outputs == (0,) for _ in range(100))
+    assert all(sys.probe((0,)) == (0,) for _ in range(100))
 
 
-def test_input_noise_reports_executed_word(toggle):
+def test_input_noise_over_one_input_symbol_changes_nothing(toggle):
     sys = SimulatedSystem(toggle, quiet("input", 1.0, seed=7))
-    seen_other = False
-    for _ in range(200):
-        t = sys.probe((0, 0, 0))
-        assert len(t.inputs) == 3 and len(t.outputs) == 3
-        # the produced outputs must correspond to the input word reported
-        assert toggle.run(t.inputs) == t.outputs
-        seen_other |= t.inputs != (0, 0, 0)
-    assert not seen_other  # toggle has one input symbol; uniform draw is identity
+    # toggle has one input symbol, so every uniform redraw is the identity
+    assert all(sys.probe((0, 0, 0)) == (0, 1, 0) for _ in range(200))
+    assert sys.meter.tests == 200
 
 
 def test_input_noise_perturbs_with_two_symbols():
-    m = MealyMachine(
+    m = MealyMachine(  # one state echoing its input: the output shows the executed word
         Alphabet(("a", "b")), Alphabet(("x", "y")), 0,
         ((0, 0),), ((0, 1),),
     )
     sys = SimulatedSystem(m, quiet("input", 1.0, seed=3))
-    inputs = {sys.probe((0, 0)).inputs for _ in range(100)}
-    assert len(inputs) > 1
-    for t in (sys.probe((0, 0)) for _ in range(50)):
-        assert m.run(t.inputs) == t.outputs
+    possible = {m.run(u) for u in product(range(2), repeat=2)}
+    answers = [sys.probe((0, 0)) for _ in range(150)]
+    assert set(answers) <= possible
+    assert len(set(answers)) > 1
+    assert sys.meter.symbols == 2 * len(answers)
 
 
 def test_noise_identical_seed_identical_stream():
@@ -138,7 +136,7 @@ class ScriptedSystem:
     def probe(self, word, phase="mq"):
         out = self.script[self.calls % len(self.script)]
         self.calls += 1
-        return Trace(word, out)
+        return out
 
 
 def test_majority_unanimous_stops_at_min_repeats(toggle):
@@ -177,9 +175,9 @@ def test_majority_votes_spend_the_budget(toggle):
 
 def test_probe_memo_does_not_outlive_its_target(toggle, constant_x):
     sys = SimulatedSystem(toggle, quiet())
-    assert sys.probe((0, 0)).outputs == (0, 1)
+    assert sys.probe((0, 0)) == (0, 1)
     sys.target = constant_x
-    assert sys.probe((0, 0)).outputs == (0, 0)
+    assert sys.probe((0, 0)) == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["input", "output"])
@@ -191,15 +189,26 @@ def test_probes_of_one_word_share_one_target_run(monkeypatch, kind):
         MealyMachine, "run", lambda self, w, start=None: runs.append(w) or real_run(self, w, start)
     )
     sys = SimulatedSystem(m, quiet(kind, 0.1, seed=3))
+    perturbed = []  # the result of every noise draw
+    real_perturb = sys.noise.perturb
+
+    def perturb(w, n):
+        perturbed.append(real_perturb(w, n))
+        return perturbed[-1]
+
+    sys.noise.perturb = perturb
     word = (0, 1, 2, 1, 0)
-    traces = [sys.probe(word) for _ in range(200)]
-    clean = [t for t in traces if t == (word, real_run(m, word))]
-    noisy = [t for t in traces if t.inputs != word]
+    answers = [sys.probe(word) for _ in range(200)]
+    truth = real_run(m, word)
+    clean = [o for o in answers if o == truth]
+    # under input noise each probe's noise draw is the word it executed
+    executed = perturbed if kind == "input" else [word] * len(answers)
+    moved = sum(u != word for u in executed)
     # the voted word runs once however often a perturbed word is run between
-    # its probes; a probe its noise missed returns the memoized trace itself
-    assert runs.count(word) == 1 and len(runs) == 1 + len(noisy)
-    assert max(sum(u is t for u in clean) for t in clean) > 100
-    assert len(clean) < len(traces)
+    # its probes; a probe its noise missed returns the memoized outputs itself
+    assert runs.count(word) == 1 and len(runs) == 1 + moved
+    assert max(sum(u is o for u in clean) for o in clean) > 100
+    assert len(clean) < len(answers)
 
 
 def _vote_words(rng: random.Random, n_inputs: int) -> list:
