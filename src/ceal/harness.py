@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
         if not (0.0 <= self.noise_rate <= 1.0):
             raise ValueError("noise rate must lie in [0,1]")
+        if self.noise_kind == "none" and self.noise_rate != 0.0:
+            raise ValueError("noise kind 'none' takes no rate but 0")
         if self.update_strategy not in STRATEGIES:
             raise ValueError(f"update strategy must be one of {STRATEGIES}")
         if self.selection not in STRATEGIES:

@@ -4,9 +4,9 @@ A learner talks to exactly one dependency: a teacher callable mapping an
 input word to its full output word, such as Reviser.read. The teacher may
 raise PruneRequested from inside any query to signal that previously given
 answers were retracted; learners are written so that an unwind at a query
-boundary is always recoverable through restart(), which returns the learner
-to its freshly-constructed state. Answers are memoized per life because the
-answering layer guarantees them stable between restarts.
+boundary is always recoverable through restart(), which re-runs the
+constructor. Answers are memoized per life because the answering layer
+guarantees them stable between restarts.
 
 Both learners produce complete Mealy machines and grow them monotonically:
 refine(cex) adds at least one distinguishing experiment, so the next
@@ -28,7 +28,7 @@ split replaces a leaf in place by an inner node that keeps it as a child),
 so a leaf that was never split is where a new sift of the extension would
 end, on memo hits alone. The teacher sees the same calls in the same order
 as without the caches. restart() drops them with the memo, since it
-replaces the whole classification tree.
+builds a new classification tree.
 """
 
 from __future__ import annotations
@@ -55,7 +55,11 @@ class InconsistentTeacher(RuntimeError):
 
 
 class Learner(ABC):
-    """Common shell: teacher access with per-life memoization, restart."""
+    """Common shell: teacher access with per-life memoization, restart.
+
+    A learner is __init__(inputs, outputs, teacher), build_hypothesis and
+    refine; restart() re-runs __init__, which sets up all learned state.
+    """
 
     def __init__(self, inputs: Alphabet, outputs: Alphabet, teacher: TeacherFn) -> None:
         self.inputs = inputs
@@ -63,7 +67,6 @@ class Learner(ABC):
         self.teacher = teacher
         self._memo: dict[Word, Word] = {}
         self._hyp: Optional[MealyMachine] = None
-        self._reset()
 
     def _ask(self, word: Word) -> Word:
         got = self._memo.get(word)
@@ -76,13 +79,8 @@ class Learner(ABC):
         return got
 
     def restart(self) -> None:
-        """Discard all learned state; the next build starts from scratch."""
-        self._memo.clear()
-        self._hyp = None
-        self._reset()
-
-    @abstractmethod
-    def _reset(self) -> None: ...
+        """Discard all learned state by re-running the constructor."""
+        self.__init__(self.inputs, self.outputs, self.teacher)  # type: ignore[misc]
 
     @abstractmethod
     def build_hypothesis(self) -> MealyMachine: ...
@@ -99,12 +97,10 @@ class LStarLearner(Learner):
     single input symbol so emissions can always be read off the table.
     """
 
-    S: list[Word]
-    E: list[Word]
-
-    def _reset(self) -> None:
-        self.S = [()]
-        self.E = [(a,) for a in range(len(self.inputs))]
+    def __init__(self, inputs: Alphabet, outputs: Alphabet, teacher: TeacherFn) -> None:
+        super().__init__(inputs, outputs, teacher)
+        self.S: list[Word] = [()]
+        self.E: list[Word] = [(a,) for a in range(len(inputs))]
         self._rows: dict[Word, tuple[Word, ...]] = {}
 
     def _row(self, s: Word) -> tuple[Word, ...]:
@@ -156,14 +152,12 @@ class LStarLearner(Learner):
         n = len(u)
         if n == 0 or h.run(u) == cex.outputs:
             raise RuntimeError("refine called with a non-counterexample")
-        state_after = [h.initial]
-        for a in u:
-            state_after.append(h.transitions[state_after[-1]][a])
+        visited = h.states(u)
 
         def disagrees(k: int) -> bool:
-            s_k = self.S[state_after[k]]
+            s_k = self.S[visited[k]]
             actual = self._ask(s_k + u[k:])[len(s_k):]
-            predicted = h.run(u[k:], start=state_after[k])
+            predicted = h.run(u[k:], start=visited[k])
             return actual != predicted
 
         if not disagrees(0):
@@ -212,10 +206,9 @@ class KVLearner(Learner):
     sifted. Leaves hold access words, one per discovered state.
     """
 
-    root: Union[_Leaf, _Inner]
-
-    def _reset(self) -> None:
-        self.root = _Leaf((), None)
+    def __init__(self, inputs: Alphabet, outputs: Alphabet, teacher: TeacherFn) -> None:
+        super().__init__(inputs, outputs, teacher)
+        self.root: Union[_Leaf, _Inner] = _Leaf((), None)
         self._sift_created = False
 
     def _tail(self, word: Word, suffix: Word) -> Word:
@@ -305,16 +298,14 @@ class KVLearner(Learner):
         if not mismatches:
             raise RuntimeError("refine called with a non-counterexample")
         m = mismatches[0]
-        state_after = [h.initial]
-        for a in u:
-            state_after.append(h.transitions[state_after[-1]][a])
+        visited = h.states(u)
         for j in range(1, m + 1):
-            hyp_leaf = self._leaves[state_after[j]]
+            hyp_leaf = self._leaves[visited[j]]
             real_leaf = self.sift(u[:j])
             if self._sift_created:
                 return  # the sift itself discovered a new state
             if real_leaf is not hyp_leaf:
-                prev = self._leaves[state_after[j - 1]]
+                prev = self._leaves[visited[j - 1]]
                 a = u[j - 1]
                 w1, w2 = u[:j], prev.access + (a,)
                 node = self.root
@@ -328,4 +319,4 @@ class KVLearner(Learner):
                 raise InconsistentTeacher("diverging sifts share every distinguisher")
         # every prefix classifies as the hypothesis says; the mismatch symbol
         # itself then separates the reached state's access word from u[:m]
-        self._split(self._leaves[state_after[m]], (u[m],), u[:m])
+        self._split(self._leaves[visited[m]], (u[m],), u[:m])

@@ -26,9 +26,6 @@ class Trace(NamedTuple):
     inputs: Word
     outputs: Word
 
-    def __len__(self) -> int:
-        return len(self.inputs)
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -110,12 +107,6 @@ class MealyMachine:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, symbol: int) -> tuple[int, int]:
-        """One transition: (successor, output symbol)."""
-        self._check_state(state)
-        self._check_word((symbol,))
-        return self.transitions[state][symbol], self.emissions[state][symbol]
-
     def run(self, word: Word, start: Optional[int] = None) -> Word:
         """Length-preserving output word for an input word (from the initial state)."""
         q = self.initial if start is None else self._check_state(start)
@@ -136,13 +127,13 @@ class MealyMachine:
             raise
         return tuple(out)
 
-    def state_after(self, word: Word, start: Optional[int] = None) -> int:
-        """State reached by reading the word (from the initial state)."""
-        q = self.initial if start is None else self._check_state(start)
+    def states(self, word: Word) -> list[int]:
+        """States visited reading the word from the initial state, both ends included."""
         self._check_word(word)
+        visited = [self.initial]
         for a in word:
-            q = self.transitions[q][a]
-        return q
+            visited.append(self.transitions[visited[-1]][a])
+        return visited
 
     def _check_state(self, state: int) -> int:
         # a negative state would index a table row from the end
@@ -443,8 +434,24 @@ def parse_dot(text: str) -> tuple[MealyMachine, Alphabet, Alphabet]:
     return machine, sigma, gamma
 
 
+# parse_dot strips names and splits a label at its first "/"; a quote ends
+# the label, ";" or "}" the statement, a line break or "//" the line, and
+# "/*" opens a comment
+_DOT_CUTS = re.compile(r'["};]|//|/\*')
+
+
 def write_dot(m: MealyMachine, name: str = "g") -> str:
-    """Serialize a machine to DOT; round-trips through parse_dot."""
+    """Serialize a machine to DOT; parse_dot reads it back by symbol name.
+
+    Raises ValueError naming every symbol that no label can spell.
+    """
+    bad = [s for s in m.inputs.symbols + m.outputs.symbols
+           if s != s.strip() or s.splitlines() != [s] or _DOT_CUTS.search(s)]
+    bad += [s for s in m.inputs.symbols if "/" in s]
+    # after the label's "/", a leading "/" or "*" would open a comment
+    bad += [s for s in m.outputs.symbols if s[:1] in ("/", "*")]
+    if bad:
+        raise ValueError(f"parse_dot would not read back the symbols {sorted(set(bad))!r}")
     out = [f"digraph {name} {{"]
     out.append('  __start0 [label="" shape="none"];')
     for q in range(m.n_states):

@@ -95,10 +95,11 @@ class Reviser:
 
     The tree is the single source of truth for answers; the system is only
     consulted, one vote under policy per word, for words the tree cannot
-    answer and for equivalence testing. Without tree_check, eq skips the tree check, so every counterexample
-    costs system tests, as with a classical teacher. A Reviser serves one
-    session: log holds every hypothesis eq was asked about, and test
-    prepares its sampler from the log's canonical minimal machine.
+    answer and for equivalence testing. Without tree_check, test skips the
+    tree check, so every counterexample costs system tests, as with a
+    classical teacher. A Reviser serves one session: log holds every
+    hypothesis eq was asked about, and test prepares its sampler from the
+    log's canonical minimal machine.
     """
 
     def __init__(

@@ -26,8 +26,9 @@ perturbed word is run on the target without replacing the memo, so the
 word being voted stays memoized. The memo holds one entry and is dropped
 when the system's target is replaced.
 
-majority_query votes one word under a RepeatPolicy; the Reviser asks the
-system every word it needs through it.
+majority_query votes one word under a RepeatPolicy, stopping once one
+output word holds four fifths of the votes; the Reviser asks the system
+every word it needs through it.
 """
 
 from __future__ import annotations
@@ -121,13 +122,10 @@ class RepeatPolicy:
 
     min_repeats: int = 5
     max_repeats: int = 10
-    threshold: float = 0.8
 
     def __post_init__(self) -> None:
         if not (1 <= self.min_repeats <= self.max_repeats):
             raise ValueError("need 1 <= min_repeats <= max_repeats")
-        if not (0.5 < self.threshold <= 1.0):
-            raise ValueError("agreement threshold must lie in (0.5, 1]")
 
 
 class SimulatedSystem:
@@ -181,9 +179,10 @@ def majority_query(
 ) -> Word:
     """Vote the same word repeatedly; return the agreed or plurality output.
 
-    Stops as soon as one output word holds at least the threshold share of
-    all votes so far (checked from min_repeats on); at max_repeats the
-    plurality wins, ties going to the lexicographically least output word.
+    Stops as soon as one output word holds at least four fifths of all
+    votes so far (checked from min_repeats on); four fifths is a strict
+    majority, so that word is unique. At max_repeats the plurality wins,
+    ties going to the lexicographically least output word.
     """
     probe = system.probe
     first = probe(word, phase)
@@ -194,15 +193,12 @@ def majority_query(
             break
         agreed += 1
     else:
-        return first  # unanimous: a share of 1 meets any threshold
+        return first  # unanimous
     votes = {first: agreed, out: 1}
     total, best_n = agreed + 1, agreed
     while True:
         if total >= policy.min_repeats:
-            # float-robust "best_n / total >= threshold"; the threshold
-            # exceeds one half, so up to that slack a word meeting it is
-            # unique, and otherwise the first-seen leader wins
-            if best_n >= policy.threshold * total - 1e-9:
+            if 5 * best_n >= 4 * total:
                 return next(w for w, n in votes.items() if n == best_n)
             if total >= policy.max_repeats:
                 return min(w for w, n in votes.items() if n == best_n)

@@ -29,8 +29,9 @@ from typing import Iterator, Optional, Union
 
 from ceal.eqtest import PreparedSampler, SamplerConfig
 from ceal.harness import ExperimentConfig, RunResult
-from ceal.learners import InconsistentTeacher, KVLearner, Learner, LStarLearner
+from ceal.learners import InconsistentTeacher, KVLearner, Learner, LStarLearner, TeacherFn
 from ceal.mealy import (
+    Alphabet,
     MealyMachine,
     Trace,
     Word,
@@ -340,7 +341,11 @@ class ReferenceSystem:
 def reference_majority_query(
     system, word: Word, policy: RepeatPolicy, phase: str = "mq"
 ) -> Word:
-    """Vote by recounting the whole tally after every probe."""
+    """Vote by recounting the whole tally after every probe.
+
+    Spells the four-fifths rule as a float share with slack, where
+    ``ceal.sul`` compares integers.
+    """
     votes: Counter[Word] = Counter()
     for _ in range(policy.min_repeats):
         votes[system.probe(word, phase).outputs] += 1
@@ -348,7 +353,7 @@ def reference_majority_query(
         total = sum(votes.values())
         best_n = max(votes.values())
         winners = [w for w, n in votes.items() if n == best_n]
-        if best_n >= policy.threshold * total - 1e-9:
+        if best_n >= 0.8 * total - 1e-9:
             return winners[0]
         if total >= policy.max_repeats:
             return min(winners)
@@ -362,12 +367,10 @@ class ReferenceLStarLearner(Learner):
     cached and the scan restarts at S[0] after every new access word.
     """
 
-    S: list[Word]
-    E: list[Word]
-
-    def _reset(self) -> None:
-        self.S = [()]
-        self.E = [(a,) for a in range(len(self.inputs))]
+    def __init__(self, inputs: Alphabet, outputs: Alphabet, teacher: TeacherFn) -> None:
+        super().__init__(inputs, outputs, teacher)
+        self.S: list[Word] = [()]
+        self.E: list[Word] = [(a,) for a in range(len(inputs))]
 
     def _row(self, s: Word) -> tuple[Word, ...]:
         return tuple(self._ask(s + e)[len(s):] for e in self.E)
@@ -458,10 +461,9 @@ class _Inner:
 class ReferenceKVLearner(Learner):
     """KV that sifts every word from the root on every call."""
 
-    root: Union[_Leaf, _Inner]
-
-    def _reset(self) -> None:
-        self.root = _Leaf((), None)
+    def __init__(self, inputs: Alphabet, outputs: Alphabet, teacher: TeacherFn) -> None:
+        super().__init__(inputs, outputs, teacher)
+        self.root: Union[_Leaf, _Inner] = _Leaf((), None)
         self._sift_created = False
 
     def _tail(self, word: Word, suffix: Word) -> Word:

@@ -94,7 +94,7 @@ def test_access_sequences_reach_and_are_shortest(seed):
     access = access_sequences(m)
     dist = bfs_distances(m)
     for q, word in access.items():
-        assert m.state_after(word) == q
+        assert m.states(word)[-1] == q
         assert len(word) == dist[q]
 
 

@@ -60,6 +60,7 @@ def test_config_normalizes_case_and_seed_container():
         {"noise_kind": "gaussian"},
         {"noise_rate": -0.1},
         {"noise_rate": 1.5},
+        {"noise_rate": 0.5},  # a rate needs a noise kind
         {"update_strategy": "newest"},
         {"selection": "oldest"},
         {"k_survive": 0},
@@ -542,6 +543,18 @@ def test_cli_run_text(capsys):
 def test_cli_run_bad_noise_flag(capsys):
     assert main(["run", "--target", LOCK, "--noise", "output"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_noise_rate_needs_a_noise_kind(tmp_path, capsys):
+    assert main(["run", "--target", LOCK, "--noise", "none:0.5"]) == 2
+    assert "noise kind 'none'" in capsys.readouterr().err
+    config = tmp_path / "none.grid"
+    config.write_text(f"targets = {LOCK}\nnoise = none:0, none:0.5\nseeds = 0\n",
+                      encoding="utf-8")
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "noise kind 'none'" in capsys.readouterr().err
+    # a zero rate of a real kind stays legal, as a rate sweep's baseline
+    ExperimentConfig(target=LOCK, noise_kind="output", noise_rate=0.0)
 
 
 def test_cli_run_rejects_nan_mean_infix(capsys):

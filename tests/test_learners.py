@@ -146,15 +146,24 @@ def test_refine_before_build_is_misuse(learner_cls, toggle):
 @pytest.mark.parametrize("learner_cls", LEARNERS)
 def test_restart_is_idempotent_and_resets(learner_cls):
     target = cycle_machine(3)
-    learner = learner_cls(target.inputs, target.outputs, oracle_teacher(target))
+    calls = []
+
+    def teacher(word):
+        calls.append(word)
+        return target.run(word)
+
+    learner = learner_cls(target.inputs, target.outputs, teacher)
     first = canonical_fingerprint(learner.build_hypothesis())
+    fresh_calls = calls[:]
     cex = find_counterexample(target, learner._hyp)
     learner.refine(cex)
     learner.restart()
     learner.restart()  # twice equals once
     assert learner._memo == {}
+    calls.clear()
     again = canonical_fingerprint(learner.build_hypothesis())
     assert again == first
+    assert calls == fresh_calls  # the restarted build asks what a fresh one asks
 
 
 @pytest.mark.parametrize("learner_cls", LEARNERS)

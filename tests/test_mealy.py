@@ -1,6 +1,7 @@
 """Machine semantics, DOT round-trips, equivalence checking, canonical forms."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -45,20 +46,25 @@ def test_states_and_symbols_are_range_checked_everywhere():
     for state in (-1, m.n_states, 1.0):
         with pytest.raises(ValueError, match="outside the machine's states"):
             m.run((0,), start=state)
-        with pytest.raises(ValueError, match="outside the machine's states"):
-            m.state_after((0,), start=state)
-        with pytest.raises(ValueError, match="outside the machine's states"):
-            m.step(state, 0)
     for word in [(-1,), (2,), (0, -1), (1, 2), (0, "a")]:
         with pytest.raises(ValueError, match="outside the machine's alphabet"):
-            m.state_after(word)
+            m.states(word)
         with pytest.raises(ValueError, match="outside the machine's alphabet"):
             m.run(word, start=1)
-    for symbol in (-1, 2):
-        with pytest.raises(ValueError, match="outside the machine's alphabet"):
-            m.step(0, symbol)
-    assert m.state_after((0, 1)) == 1 and m.step(1, 0) == (0, 1)
+    assert m.states((0, 1)) == [0, 1, 1]
     assert m.run((0, 1), start=1) == (1, 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_states_walk_the_word_from_initial(seed):
+    m = random_machine(6, Alphabet(("a", "b", "c")), Alphabet(("x", "y")), seed)
+    rng = random.Random(seed)
+    for n in range(8):
+        word = tuple(rng.randrange(3) for _ in range(n))
+        visited = m.states(word)
+        assert len(visited) == n + 1 and visited[0] == m.initial
+        for k in range(n):
+            assert m.run(word[k:], start=visited[k]) == m.run(word)[k:]
 
 
 def test_trace_prefixes():
@@ -199,6 +205,43 @@ def test_write_dot_roundtrip_random():
     # large enough that a per-edge scan of the node list would dominate
     big = random_machine(2000, Alphabet(tuple("abcdefghij")), gamma, seed=0)
     assert parse_dot(write_dot(big))[0] == big
+
+
+@pytest.mark.parametrize("inputs, outputs, bad", [
+    (("a/b", "c"), ("0", "1"), "a/b"),
+    (("a",), ('x"y',), 'x"y'),
+    ((" a",), ("x",), " a"),
+])
+def test_write_dot_rejects_symbols_parse_dot_would_not_read_back(inputs, outputs, bad):
+    m = MealyMachine(Alphabet(inputs), Alphabet(outputs), 0,
+                     (tuple(0 for _ in inputs),), (tuple(0 for _ in inputs),))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        write_dot(m)
+
+
+def test_write_dot_raises_or_round_trips_exactly():
+    pieces = ["a", "b", " ", "/", "*", '"', ";", "}", "{", "\n", "#", "[", "]", "=", "-", ">"]
+    rng = random.Random(0)
+    written = 0
+    for _ in range(3000):
+        names = {"".join(rng.choices(pieces, k=rng.randint(1, 3))) for _ in range(4)}
+        names = sorted(names)
+        if len(names) < 2:
+            continue
+        half = len(names) // 2
+        sigma, gamma = Alphabet(tuple(names[:half])), Alphabet(tuple(names[half:]))
+        # one state emitting every output, so parse_dot sees both whole alphabets
+        emit = tuple(min(a, len(gamma) - 1) for a in range(len(sigma)))
+        m = MealyMachine(sigma, gamma, 0, (tuple(0 for _ in emit),), (emit,))
+        if len(set(emit)) < len(gamma):
+            continue
+        try:
+            text = write_dot(m)
+        except ValueError:
+            continue
+        assert parse_dot(text)[0] == m
+        written += 1
+    assert written > 50
 
 
 def test_find_counterexample_toggle_vs_constant(toggle, constant_x):

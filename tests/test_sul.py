@@ -9,7 +9,7 @@ import pytest
 
 from itertools import product
 
-from ceal.mealy import Alphabet, MealyMachine, random_machine
+from ceal.mealy import Alphabet, MealyMachine, Trace, random_machine
 from ceal.sul import (
     BudgetExhausted,
     NoiseModel,
@@ -122,8 +122,7 @@ def test_repeat_policy_validation():
     with pytest.raises(ValueError):
         RepeatPolicy(5, 4)
     with pytest.raises(ValueError):
-        RepeatPolicy(5, 10, threshold=0.5)
-    RepeatPolicy(5, 10, threshold=1.0)
+        RepeatPolicy(0, 1)
 
 
 class ScriptedSystem:
@@ -137,6 +136,35 @@ class ScriptedSystem:
         out = self.script[self.calls % len(self.script)]
         self.calls += 1
         return out
+
+
+class ScriptedTraces(ScriptedSystem):
+    """The same script, answered as traces, as the reference vote reads them."""
+
+    def probe(self, word, phase="mq"):
+        return Trace(word, super().probe(word, phase))
+
+
+def vote_both(script, policy):
+    """The vote and the reference vote over one script, with each one's probe count."""
+    stub, ref = ScriptedSystem(script), ScriptedTraces(script)
+    got = majority_query(stub, (0,), policy)
+    assert got == reference_majority_query(ref, (0,), policy)
+    assert stub.calls == ref.calls
+    return got, stub.calls
+
+
+@pytest.mark.parametrize("agree", [4, 8, 12, 16])
+def test_majority_stops_exactly_at_four_fifths(agree):
+    # distinct dissenters vote first, so the leader first holds four fifths
+    # after agree + agree // 4 votes
+    script = [(k + 2,) for k in range(agree // 4)] + [(1,)] * 20
+    assert vote_both(script, RepeatPolicy(5, 20)) == ((1,), agree + agree // 4)
+
+
+def test_majority_keeps_voting_at_eleven_of_fourteen():
+    script = [(0,)] * 3 + [(1,)] * 11 + [(2,)] * 6
+    assert vote_both(script, RepeatPolicy(5, 20)) == ((1,), 20)
 
 
 def test_majority_unanimous_stops_at_min_repeats(toggle):
