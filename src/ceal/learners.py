@@ -18,23 +18,21 @@ exact because within a life the memo never changes and E only grows by
 appending, so a cached row lacks only the columns appended since it was
 computed.
 
-KV keeps, on each leaf, its emission row and the leaf each one-symbol
-extension of its access word sifted to, with that leaf's split count at the
-time. A build re-sifts an extension only when its cached successor has
-been split since, and asks and sifts in full only for leaves it has not
-built before. The shortcut is exact for the same reasons: the emission row
-is read from the memo, and the classification tree only gains nodes (a
-split replaces a leaf in place by an inner node that keeps it as a child),
-so a leaf that was never split is where a new sift of the extension would
-end, on memo hits alone. The teacher sees the same calls in the same order
-as without the caches. restart() drops them with the memo, since it
-builds a new classification tree.
+KV keeps, on each leaf, its emission row and the node each one-symbol
+extension of its access word sifted to. A split turns the leaf inner in
+place and hands both caches to the new leaf for its access word. A build
+re-sifts an extension only when its cached successor is no longer a leaf,
+and asks and sifts in full only for leaves it has not built before. This
+is exact: the emission row is read from the memo, and the tree only gains
+nodes, so a new sift would end at a successor that is still a leaf, on
+memo hits alone. The teacher sees the same calls in the same order as
+without the caches. restart() drops them with the memo.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .mealy import Alphabet, MealyMachine, Trace, Word
 
@@ -175,27 +173,23 @@ class LStarLearner(Learner):
         self.E.append(suffix)
 
 
-class _Leaf:
-    __slots__ = ("access", "parent", "splits", "emissions", "successors")
+class _Node:
+    """A classification-tree node: a leaf while `children` is None.
 
-    def __init__(self, access: Word, parent: Optional["_Inner"]) -> None:
+    A leaf holds an access word and, once a build reaches it, the emission
+    row and the successor node of each one-symbol extension. A split turns
+    it inner: it gains a distinguishing `label` and children keyed by the
+    output word that label produces.
+    """
+
+    __slots__ = ("access", "label", "children", "emissions", "successors")
+    label: Word
+
+    def __init__(self, access: Word) -> None:
         self.access = access
-        self.parent = parent
-        # bumped by every split of this leaf
-        self.splits = 0
-        # filled by the first build that reaches this leaf: the emission row,
-        # and per input the successor leaf with its split count at the time
+        self.children: Optional[dict[Word, _Node]] = None
         self.emissions: tuple[int, ...] = ()
-        self.successors: Optional[list[tuple["_Leaf", int]]] = None
-
-
-class _Inner:
-    __slots__ = ("label", "children", "parent")
-
-    def __init__(self, label: Word, parent: Optional["_Inner"]) -> None:
-        self.label = label
-        self.children: dict[Word, Union[_Leaf, "_Inner"]] = {}
-        self.parent = parent
+        self.successors: Optional[list[_Node]] = None
 
 
 class KVLearner(Learner):
@@ -203,26 +197,27 @@ class KVLearner(Learner):
 
     Inner nodes hold distinguishing input words; edges are keyed by the
     output word the distinguisher produces after the access word being
-    sifted. Leaves hold access words, one per discovered state.
+    sifted. Leaves hold access words, one per discovered state. A split
+    turns a leaf inner in place, so the root is never replaced.
     """
 
     def __init__(self, inputs: Alphabet, outputs: Alphabet, teacher: TeacherFn) -> None:
         super().__init__(inputs, outputs, teacher)
-        self.root: Union[_Leaf, _Inner] = _Leaf((), None)
+        self.root = _Node(())
         self._sift_created = False
 
     def _tail(self, word: Word, suffix: Word) -> Word:
         return self._ask(word + suffix)[len(word):]
 
-    def sift(self, word: Word) -> _Leaf:
+    def sift(self, word: Word) -> _Node:
         """Classify a word to a leaf, materializing one if its answers are new."""
         self._sift_created = False
         node = self.root
-        while isinstance(node, _Inner):
+        while node.children is not None:
             t = self._tail(word, node.label)
             child = node.children.get(t)
             if child is None:
-                child = node.children[t] = _Leaf(word, node)
+                child = node.children[t] = _Node(word)
                 self._sift_created = True
             node = child
         return node
@@ -230,7 +225,7 @@ class KVLearner(Learner):
     def build_hypothesis(self) -> MealyMachine:
         ni = len(self.inputs)
         init = self.sift(())
-        order: list[_Leaf] = [init]
+        order: list[_Node] = [init]
         index: dict[int, int] = {id(init): 0}
         transitions: list[tuple[int, ...]] = []
         emissions: list[tuple[int, ...]] = []
@@ -245,18 +240,15 @@ class KVLearner(Learner):
                 for a in range(ni):
                     w = leaf.access + (a,)
                     erow.append(self._ask(w)[-1])
-                    succ = self.sift(w)
-                    successors.append((succ, succ.splits))
+                    successors.append(self.sift(w))
                 leaf.emissions = tuple(erow)
                 leaf.successors = successors
             else:
                 for a in range(ni):
-                    succ, splits = successors[a]
-                    if succ.splits != splits:
-                        succ = self.sift(leaf.access + (a,))
-                        successors[a] = (succ, succ.splits)
+                    if successors[a].children is not None:
+                        successors[a] = self.sift(leaf.access + (a,))
             trow = []
-            for succ, _ in successors:
+            for succ in successors:
                 j = index.get(id(succ))
                 if j is None:
                     j = index[id(succ)] = len(order)
@@ -269,23 +261,16 @@ class KVLearner(Learner):
         self._leaves = order
         return m
 
-    def _split(self, leaf: _Leaf, suffix: Word, new_access: Word) -> None:
+    def _split(self, leaf: _Node, suffix: Word, new_access: Word) -> None:
         t_old = self._tail(leaf.access, suffix)
         t_new = self._tail(new_access, suffix)
         if t_old == t_new:
             raise InconsistentTeacher("split suffix fails to distinguish the two words")
-        inner = _Inner(suffix, leaf.parent)
-        if leaf.parent is None:
-            self.root = inner
-        else:
-            for key, child in leaf.parent.children.items():
-                if child is leaf:
-                    leaf.parent.children[key] = inner
-                    break
-        inner.children[t_old] = leaf
-        inner.children[t_new] = _Leaf(new_access, inner)
-        leaf.parent = inner
-        leaf.splits += 1
+        old = _Node(leaf.access)
+        old.emissions, old.successors = leaf.emissions, leaf.successors
+        leaf.label = suffix
+        leaf.children = {t_old: old, t_new: _Node(new_access)}
+        leaf.emissions, leaf.successors = (), None
 
     def refine(self, cex: Trace) -> None:
         """Split the first leaf whose classification the counterexample breaks."""
@@ -309,7 +294,7 @@ class KVLearner(Learner):
                 a = u[j - 1]
                 w1, w2 = u[:j], prev.access + (a,)
                 node = self.root
-                while isinstance(node, _Inner):
+                while node.children is not None:
                     t1 = self._tail(w1, node.label)
                     t2 = self._tail(w2, node.label)
                     if t1 != t2:

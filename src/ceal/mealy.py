@@ -443,8 +443,12 @@ _DOT_CUTS = re.compile(r'["};]|//|/\*')
 def write_dot(m: MealyMachine, name: str = "g") -> str:
     """Serialize a machine to DOT; parse_dot reads it back by symbol name.
 
-    Raises ValueError naming every symbol that no label can spell.
+    Raises ValueError naming every symbol that no label can spell, or a
+    graph name that would cut the header line.
     """
+    # splitlines differs with and without line ends iff the name holds a break
+    if "{" in name or "//" in name or name.splitlines() != name.splitlines(keepends=True):
+        raise ValueError(f"parse_dot would not read back the graph name {name!r}")
     bad = [s for s in m.inputs.symbols + m.outputs.symbols
            if s != s.strip() or s.splitlines() != [s] or _DOT_CUTS.search(s)]
     bad += [s for s in m.inputs.symbols if "/" in s]

@@ -324,6 +324,37 @@ def test_learner_matches_reference_call_for_call(learner_cls, reference_cls, tea
         assert ("sift" if learner_cls is KVLearner else "build_hypothesis") in pruned_in
 
 
+def _kv_leaves(node):
+    if node.children is None:
+        return [node]
+    return [leaf for child in node.children.values() for leaf in _kv_leaves(child)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kv_tree_invariants_hold_after_every_build(seed):
+    """Leaves sift back to themselves, every cached successor is current,
+    and a split hands the caches of the leaf it splits to the new leaf for
+    that leaf's access word."""
+    target = random_machine(8 + 6 * seed, Alphabet(("a", "b", "c")), Alphabet(("0", "1")), seed)
+    learner = KVLearner(target.inputs, target.outputs, oracle_teacher(target))
+    for _ in range(64):
+        h = learner.build_hypothesis()
+        for leaf in _kv_leaves(learner.root):
+            assert learner.sift(leaf.access) is leaf
+            assert not learner._sift_created
+            for a, succ in enumerate(leaf.successors or ()):
+                assert succ.children is None
+                assert learner.sift(leaf.access + (a,)) is succ
+        cex = find_counterexample(target, h)
+        if cex is None:
+            return
+        built = {leaf.access: leaf.successors for leaf in _kv_leaves(learner.root)}
+        learner.refine(cex)
+        for leaf in _kv_leaves(learner.root):
+            assert leaf.successors is built.get(leaf.access)
+    raise AssertionError("learner failed to converge")
+
+
 def test_kv_build_after_one_new_state_sifts_only_what_changed():
     """A KV round that adds one state re-sifts a handful of words, not all n*k."""
     target = random_machine(40, Alphabet(("a", "b", "c", "d")), Alphabet(("0", "1", "2")), 16)

@@ -219,6 +219,17 @@ def test_write_dot_rejects_symbols_parse_dot_would_not_read_back(inputs, outputs
         write_dot(m)
 
 
+@pytest.mark.parametrize("name", ["a{b", "x//y", "a\n//"])
+def test_write_dot_rejects_a_graph_name_parse_dot_would_not_read_back(toggle, name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_dot(toggle, name)
+
+
+@pytest.mark.parametrize("name", ["g", "random3", "a b"])
+def test_write_dot_round_trips_under_a_graph_name(toggle, name):
+    assert parse_dot(write_dot(toggle, name))[0] == toggle
+
+
 def test_write_dot_raises_or_round_trips_exactly():
     pieces = ["a", "b", " ", "/", "*", '"', ";", "}", "{", "\n", "#", "[", "]", "=", "-", ">"]
     rng = random.Random(0)
