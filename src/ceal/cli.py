@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--selection", metavar="|".join(STRATEGIES),
                        help="final-model selection under ceal; ignored under mat, "
                             "which keeps its latest hypothesis")
-    p_run.add_argument("--sampler", help="word sampler of the equivalence tests")
     p_run.add_argument("--mean-infix")
     p_run.add_argument("--max-len")
     p_run.add_argument("--k-survive")

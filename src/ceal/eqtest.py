@@ -1,10 +1,10 @@
 """Test-word generation for equivalence testing.
 
-Two methods feed the tester's word draw: plain random walks, and a
-randomized Wp-style scheme that concatenates a uniformly chosen state's
-access sequence, a geometric-length uniform infix, and a uniformly chosen
-characterization suffix. Randomness is injected as an explicit generator so
-configs stay plain data.
+One method feeds the tester's word draw: randomized Wp (Fujiwara et al.,
+"Test Selection Based on Finite State Models", IEEE TSE 1991), which
+concatenates a uniformly chosen state's access sequence, a geometric-length
+uniform infix, and a uniformly chosen characterization suffix. Randomness
+is injected as an explicit generator so configs stay plain data.
 
 A draw takes, in order: the access index, one ``random()`` per infix step
 (the infix stops at the first draw below 1 / (1 + mean_infix), or at
@@ -12,9 +12,8 @@ max_len), the infix symbols, and the suffix index. Every index and symbol
 is a bounded draw made with ``getrandbits`` exactly as ``randrange`` makes
 it (see ceal.sul.randbelow), so seeded draws are those of randrange.
 
-Preparing the Wp scheme for a hypothesis costs one minimization (skipped
-when the caller already holds the canonical minimal machine), a BFS for the
-access sequences and a characterization set. The characterization set is
+Preparing the Wp scheme for a hypothesis's minimal machine costs a BFS for
+the access sequences and a characterization set. The characterization set is
 built in near-linear time for the usual case: one-symbol witnesses come from
 grouping emission rows by prefix, and only pairs of states with equal
 emission rows go through the fixed-point passes for deeper witnesses. The
@@ -24,28 +23,25 @@ refinement; see characterization_set.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
-from .mealy import MealyMachine, Word, minimize  # perfbench/tracer.py wraps it here
+from .mealy import MealyMachine, Word
+from .mealy import minimize  # noqa: F401 - perfbench/tracer.py wraps it here
 from .sul import randbelow
-
-METHODS = ("random_walk", "randomized_wp")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    method: str = "randomized_wp"
     mean_infix: float = 4.0
     max_len: int = 50
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (self.mean_infix >= 0):  # also rejects NaN
-            raise ValueError("mean_infix must be nonnegative")
+        # an infinite mean makes every word max_len infix symbols, no suffix
+        if not (math.isfinite(self.mean_infix) and self.mean_infix >= 0):
+            raise ValueError("mean_infix must be finite and nonnegative")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
 
@@ -145,48 +141,34 @@ def characterization_set(h: MealyMachine) -> tuple[Word, ...]:
 
 
 class PreparedSampler:
-    """Per-hypothesis sampling state: minimized machine, accesses, suffixes.
+    """Per-hypothesis sampling state: access sequences and suffixes.
 
-    minimal is minimize(h) when the caller already has it.
+    m must be minimal, as minimize returns it: the suffixes must separate
+    its states pairwise, which no word does for two equivalent states.
     """
 
-    def __init__(
-        self, h: MealyMachine, cfg: SamplerConfig, minimal: Optional[MealyMachine] = None
-    ) -> None:
+    def __init__(self, m: MealyMachine, cfg: SamplerConfig) -> None:
         self.cfg = cfg
-        self.n_inputs = len(h.inputs)
-        if cfg.method == "randomized_wp":
-            m = minimize(h) if minimal is None else minimal
-            acc = access_sequences(m)
-            self.accesses = tuple(acc[q] for q in range(m.n_states))
-            self.suffixes = characterization_set(m)
-        else:
-            self.accesses = ((),)
-            self.suffixes = ((),)
+        self.n_inputs = len(m.inputs)
+        acc = access_sequences(m)
+        self.accesses = tuple(acc[q] for q in range(m.n_states))
+        self.suffixes = characterization_set(m)
 
-    def _infix(self, rng: random.Random) -> Word:
+    def draw(self, rng: random.Random) -> Word:
+        access = self.accesses[randbelow(rng, len(self.accesses))]
         stop = 1.0 / (1.0 + self.cfg.mean_infix)
-        draw, limit = rng.random, self.cfg.max_len
+        uniform, limit = rng.random, self.cfg.max_len
         k = 0
-        while draw() >= stop and k < limit:
+        while uniform() >= stop and k < limit:
             k += 1
         # randbelow(rng, n) inlined, as it runs once per infix symbol
         n = self.n_inputs
         bits, width = rng.getrandbits, n.bit_length()
-        out = []
+        infix = []
         for _ in range(k):
             r = bits(width)
             while r >= n:
                 r = bits(width)
-            out.append(r)
-        return tuple(out)
-
-    def draw(self, rng: random.Random) -> Word:
-        if self.cfg.method == "random_walk":
-            return self._infix(rng)[: self.cfg.max_len]
-        word = (
-            self.accesses[randbelow(rng, len(self.accesses))]
-            + self._infix(rng)
-            + self.suffixes[randbelow(rng, len(self.suffixes))]
-        )
-        return word[: self.cfg.max_len]
+            infix.append(r)
+        suffix = self.suffixes[randbelow(rng, len(self.suffixes))]
+        return (access + tuple(infix) + suffix)[:limit]

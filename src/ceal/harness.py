@@ -375,12 +375,11 @@ GRID_KEYS: dict[str, tuple] = {
     "selection": ("selection", str),
     "k_survive": ("k_survive", int),
     "max_queries": ("max_queries", int),
-    "sampler": ("method", str),
     "mean_infix": ("mean_infix", float),
     "max_len": ("max_len", int),
 }
 _AXES = ("targets", "noise", "frameworks", "learners", "repeats")
-_SAMPLER_KEYS = ("sampler", "mean_infix", "max_len")
+_SAMPLER_KEYS = ("mean_infix", "max_len")
 
 
 def _fields(key: str, text: str) -> dict:

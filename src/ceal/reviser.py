@@ -163,7 +163,7 @@ class Reviser:
             found = self.check(h)
             if found is not None:
                 return found
-        sampler = PreparedSampler(h, self.sampler_cfg, self.log.canonical(h))
+        sampler = PreparedSampler(self.log.canonical(h), self.sampler_cfg)
         survived = 0
         while survived < self.k_survive:
             word = sampler.draw(self.rng)

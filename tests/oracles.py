@@ -37,6 +37,7 @@ from ceal.mealy import (
     Word,
     canonical_fingerprint,
     find_counterexample,
+    minimize,
 )
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.sul import (
@@ -79,7 +80,7 @@ def language(tree: Union[MostRecentTree, MostFrequentTree]) -> set[Trace]:
 
 def sample_word(h: MealyMachine, cfg: SamplerConfig, rng: random.Random) -> Word:
     """One test word for the hypothesis; see PreparedSampler for the shape."""
-    return PreparedSampler(h, cfg).draw(rng)
+    return PreparedSampler(minimize(h), cfg).draw(rng)
 
 
 def is_prefix(u: Trace, t: Trace) -> bool:
@@ -295,8 +296,6 @@ def reference_infix(sampler: PreparedSampler, rng: random.Random) -> Word:
 
 def reference_draw(sampler: PreparedSampler, rng: random.Random) -> Word:
     """PreparedSampler.draw with its access and suffix indices from randrange."""
-    if sampler.cfg.method == "random_walk":
-        return reference_infix(sampler, rng)[: sampler.cfg.max_len]
     word = (
         sampler.accesses[rng.randrange(len(sampler.accesses))]
         + reference_infix(sampler, rng)
@@ -597,7 +596,7 @@ def reference_run_mat(cfg: ExperimentConfig, seed: int, target: MealyMachine) ->
         return outputs
 
     def sampled_eq(h: MealyMachine) -> Optional[Trace]:
-        sampler = PreparedSampler(h, cfg.sampler)
+        sampler = PreparedSampler(minimize(h), cfg.sampler)
         for _ in range(cfg.k_survive):
             word = sampler.draw(sampler_rng)
             outputs = majority_query(system, word, cfg.repeats, phase="eq")

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from ceal.eqtest import (
-    METHODS,
     PreparedSampler,
     SamplerConfig,
     access_sequences,
@@ -133,7 +132,7 @@ def test_chain_machine_needs_deep_witnesses():
 @pytest.mark.parametrize("case", ["small-5", "small-11", "large-0", "dot-player", "chain-12"])
 def test_sampler_draws_match_reference_suffixes(case):
     m = reference_case(case)
-    # a renumbered copy, so the sampler has to minimize it first
+    # a renumbered copy, which the sampler takes minimized, as the reviser does
     perm = list(range(m.n_states))
     random.Random(case).shuffle(perm)
     inv = {p: q for q, p in enumerate(perm)}
@@ -143,33 +142,31 @@ def test_sampler_draws_match_reference_suffixes(case):
         tuple(m.emissions[p] for p in perm),
     )
     cfg = SamplerConfig(mean_infix=2.0, max_len=60)
-    reference = PreparedSampler(h, cfg)
-    reference.suffixes = reference_characterization_set(minimize(h))
-    for sampler in (PreparedSampler(h, cfg), PreparedSampler(h, cfg, minimize(h))):
-        rng, ref_rng = random.Random(7), random.Random(7)
-        assert [sampler.draw(rng) for _ in range(300)] == [
-            reference.draw(ref_rng) for _ in range(300)
-        ]
+    minimal = minimize(h)
+    sampler, reference = PreparedSampler(minimal, cfg), PreparedSampler(minimal, cfg)
+    reference.suffixes = reference_characterization_set(minimal)
+    rng, ref_rng = random.Random(7), random.Random(7)
+    assert [sampler.draw(rng) for _ in range(300)] == [
+        reference.draw(ref_rng) for _ in range(300)
+    ]
 
 
 COUNTS = (1, 2, 3, 5, 8)
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("mean_infix, max_len", [(4.0, 50), (0.0, 50), (6.0, 4)])
 @pytest.mark.parametrize("n_inputs", COUNTS)
-def test_sampler_draws_match_randrange_reference_draw_for_draw(method, mean_infix, max_len, n_inputs):
+def test_sampler_draws_match_randrange_reference_draw_for_draw(mean_infix, max_len, n_inputs):
     inputs = Alphabet(tuple(f"i{k}" for k in range(n_inputs)))
-    h = random_machine(6, inputs, GAMMA, seed=n_inputs)
-    sampler = PreparedSampler(h, SamplerConfig(method, mean_infix, max_len))
+    h = minimize(random_machine(6, inputs, GAMMA, seed=n_inputs))
+    sampler = PreparedSampler(h, SamplerConfig(mean_infix, max_len))
     rng, ref_rng = random.Random(n_inputs), random.Random(n_inputs)
     # sizes below, at and above powers of two, so rejected draws retry
     shapes = [(n_access, n_suffix) for n_access in COUNTS for n_suffix in COUNTS]
     longest = 0
-    for n_access, n_suffix in shapes if method == "randomized_wp" else shapes[:1]:
-        if method == "randomized_wp":
-            sampler.accesses = tuple((k % n_inputs,) * k for k in range(n_access))
-            sampler.suffixes = tuple((k % n_inputs,) * (k + 1) for k in range(n_suffix))
+    for n_access, n_suffix in shapes:
+        sampler.accesses = tuple((k % n_inputs,) * k for k in range(n_access))
+        sampler.suffixes = tuple((k % n_inputs,) * (k + 1) for k in range(n_suffix))
         for _ in range(60):
             word = sampler.draw(rng)
             assert word == reference_draw(sampler, ref_rng)
@@ -181,11 +178,11 @@ def test_sampler_draws_match_randrange_reference_draw_for_draw(method, mean_infi
 
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(method="exhaustive")
-    with pytest.raises(ValueError):
         SamplerConfig(mean_infix=-1)
     with pytest.raises(ValueError):
         SamplerConfig(mean_infix=float("nan"))
+    with pytest.raises(ValueError):
+        SamplerConfig(mean_infix=float("inf"))
     with pytest.raises(ValueError):
         SamplerConfig(max_len=0)
 
@@ -200,7 +197,7 @@ def test_sample_word_zero_infix_enumerates_products(toggle):
 def test_sample_word_visits_access_sequences_uniformly(toggle):
     cfg = SamplerConfig(mean_infix=0.0)
     rng = random.Random(1)
-    sampler = PreparedSampler(toggle, cfg)
+    sampler = PreparedSampler(minimize(toggle), cfg)
     hits = sum(len(sampler.draw(rng)) == 2 for _ in range(10_000))
     assert abs(hits / 10_000 - 0.5) <= 0.05
 
@@ -212,10 +209,11 @@ def test_sample_word_respects_max_len(toggle):
 
 
 def test_random_walk_geometric_mean_length():
-    cfg = SamplerConfig(method="random_walk", mean_infix=4.0, max_len=200)
+    # the infix is a uniform random walk; with empty affixes a word is the walk
+    cfg = SamplerConfig(mean_infix=4.0, max_len=200)
     rng = random.Random(3)
-    m = random_machine(3, SIGMA, GAMMA, 0)
-    sampler = PreparedSampler(m, cfg)
+    sampler = PreparedSampler(minimize(random_machine(3, SIGMA, GAMMA, 0)), cfg)
+    sampler.accesses = sampler.suffixes = ((),)
     total = sum(len(sampler.draw(rng)) for _ in range(100_000))
     assert abs(total / 100_000 - 4.0) <= 0.4
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -483,11 +484,16 @@ def test_expand_grid_keeps_absolute_targets(tmp_path):
     assert cells[0].target == LOCK
 
 
-def test_expand_grid_rejects_unknown_keys_and_missing_targets():
+def test_expand_grid_rejects_unknown_keys_and_missing_targets(tmp_path, capsys):
     with pytest.raises(ValueError):
         expand_grid({"targets": "a.dot", "colour": "red"})
     with pytest.raises(ValueError):
         expand_grid({"seeds": "0..1"})
+    # randomized Wp is the only sampler, so no key selects one
+    config = tmp_path / "sampler.grid"
+    config.write_text(f"targets = {LOCK}\nsampler = randomized_wp\n", encoding="utf-8")
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "unknown grid config keys: sampler" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis", ["targets", "frameworks", "learners", "noise", "repeats"])
@@ -558,8 +564,29 @@ def test_a_noise_rate_needs_a_noise_kind(tmp_path, capsys):
 
 
 def test_cli_run_rejects_nan_mean_infix(capsys):
-    assert main(["run", "--target", LOCK, "--mean-infix", "nan", "--json"]) == 2
-    assert "mean_infix" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        assert main(["run", "--target", LOCK, "--mean-infix", value, "--json"]) == 2
+        assert "mean_infix" in capsys.readouterr().err
+
+
+def test_cli_run_under_input_noise_prunes_until_the_cap(capsys):
+    assert main([
+        "run", "--target", LOCK, "--noise", "input:0.2", "--repeats", "1:1",
+        "--seed", "2", "--max-queries", "2000", "--json",
+    ]) == 0
+    r = json.loads(capsys.readouterr().out)
+    assert r["terminated_by"] == "query_cap" and r["prunes"] > 0, r
+
+
+def test_cli_run_json_matches_the_grid_run_log(tmp_path, capsys):
+    assert main(["run", "--target", LOCK, "--repeats", "1:1", "--seed", "2", "--json"]) == 0
+    r = json.loads(capsys.readouterr().out)
+    config = tmp_path / "one.grid"
+    config.write_text(f"targets = {LOCK}\nrepeats = 1:1\nseeds = 2\n", encoding="utf-8")
+    log = tmp_path / "one.jsonl"
+    assert main(["grid", "--config", str(config), "--run-log", str(log)]) == 0
+    (g,) = map(json.loads, log.read_text(encoding="utf-8").splitlines())
+    assert all(r[f.name] == g[f.name] for f in dataclasses.fields(RunResult)), (r, g)
 
 
 def test_cli_grid_writes_report_and_log(tmp_path, capsys):
@@ -649,7 +676,6 @@ RUN_FLAGS = {
     "repeats": "--repeats",
     "update_strategy": "--update-strategy",
     "selection": "--selection",
-    "sampler": "--sampler",
     "mean_infix": "--mean-infix",
     "max_len": "--max-len",
     "k_survive": "--k-survive",
@@ -666,7 +692,6 @@ ONE_ENTRY = {
     "repeats": "1:3",
     "update_strategy": "most_frequent",
     "selection": "most_recent",
-    "sampler": "random_walk",
     "mean_infix": "2.5",
     "max_len": "30",
     "k_survive": "7",
@@ -691,6 +716,9 @@ def test_run_flags_are_the_grid_keys():
     args = vars(build_parser().parse_args(["run", "--target", LOCK]))
     assert args.keys() - {"command", "func", "json"} == GRID_KEYS.keys()
     assert RUN_FLAGS.keys() == GRID_KEYS.keys() == ONE_ENTRY.keys()
+    with pytest.raises(SystemExit) as exited:  # no grid key, so no flag
+        main(["run", "--target", LOCK, "--sampler", "random_walk"])
+    assert exited.value.code == 2
 
 
 def test_cli_run_without_options_builds_the_default_cell(built):

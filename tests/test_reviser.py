@@ -107,7 +107,7 @@ def test_read_votes_under_the_policy_and_stores_one_trace(toggle):
 def test_test_votes_are_charged_to_eq_symbols(toggle):
     r = make_reviser(toggle, k_survive=4, policy=RepeatPolicy(5, 10))
     assert r.test(toggle) is None
-    sampler = PreparedSampler(toggle, r.sampler_cfg)
+    sampler = PreparedSampler(minimize(toggle), r.sampler_cfg)
     rng = random.Random("0:sampler")
     drawn = [sampler.draw(rng) for _ in range(4)]
     m = r.system.meter
@@ -220,7 +220,7 @@ def test_test_survival_costs_exactly_k_tests(toggle):
     assert m.symbols == m.eq_symbols > 0
     assert m.mq_symbols == 0
     # every tested word is the sampler's next draw, from the reviser's stream
-    sampler = PreparedSampler(toggle, r.sampler_cfg)
+    sampler = PreparedSampler(minimize(toggle), r.sampler_cfg)
     rng = random.Random("0:sampler")
     assert probes == [sampler.draw(rng) for _ in range(50)]
 
@@ -296,7 +296,7 @@ def test_bare_test_minimizes_once(monkeypatch):
     monkeypatch.setattr("ceal.eqtest.minimize", counting)
     r = make_reviser(lock, k_survive=30)
     assert r.test(lock) is None
-    # the sampler's minimization is the only one; the tree check needs none
+    # the sampler takes the log's minimization, the only one; the tree check needs none
     assert calls == [lock]
 
 
