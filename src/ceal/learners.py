@@ -226,7 +226,7 @@ class KVLearner(Learner):
         ni = len(self.inputs)
         init = self.sift(())
         order: list[_Node] = [init]
-        index: dict[int, int] = {id(init): 0}
+        index: dict[_Node, int] = {init: 0}
         transitions: list[tuple[int, ...]] = []
         emissions: list[tuple[int, ...]] = []
         i = 0
@@ -249,9 +249,9 @@ class KVLearner(Learner):
                         successors[a] = self.sift(leaf.access + (a,))
             trow = []
             for succ in successors:
-                j = index.get(id(succ))
+                j = index.get(succ)
                 if j is None:
-                    j = index[id(succ)] = len(order)
+                    j = index[succ] = len(order)
                     order.append(succ)
                 trow.append(j)
             transitions.append(tuple(trow))

@@ -149,17 +149,15 @@ class MealyMachine:
 
 def _reachable_order(m: MealyMachine) -> list[int]:
     # BFS from the initial state, children in input-symbol order
-    seen = {m.initial}
+    seen = [False] * len(m.transitions)
+    seen[m.initial] = True
     order = [m.initial]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for a in range(len(m.inputs)):
-            nxt = m.transitions[q][a]
-            if nxt not in seen:
-                seen.add(nxt)
+    # the loop visits the states appended behind it, so `order` is the queue
+    for q in order:
+        for nxt in m.transitions[q]:
+            if not seen[nxt]:
+                seen[nxt] = True
                 order.append(nxt)
-                queue.append(nxt)
     return order
 
 
@@ -173,56 +171,52 @@ def minimize(m: MealyMachine) -> MealyMachine:
     rebuild would reproduce m table for table, so m itself is returned.
     """
     order = _reachable_order(m)
-    ni = len(m.inputs)
+    trans, emit = m.transitions, m.emissions
 
-    block: dict[int, int] = {}
+    # blocks[q] for reachable q; block ids count from 0 in BFS order
+    blocks = [0] * m.n_states
     rows: dict[tuple, int] = {}
     for q in order:
-        row = m.emissions[q]
-        if row not in rows:
-            rows[row] = len(rows)
-        block[q] = rows[row]
+        blocks[q] = rows.setdefault(emit[q], len(rows))
 
     # blocks only ever split, so all-singleton blocks are a fixed point
     while len(rows) < len(order):
         sigs: dict[tuple, int] = {}
-        nxt: dict[int, int] = {}
+        nxt = [0] * m.n_states
         for q in order:
-            sig = (block[q],) + tuple(block[m.transitions[q][a]] for a in range(ni))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            nxt[q] = sigs[sig]
+            nxt[q] = sigs.setdefault((blocks[q], *map(blocks.__getitem__, trans[q])), len(sigs))
         if len(sigs) == len(rows):
             break
         rows = sigs
-        block = nxt
+        blocks = nxt
 
     if len(rows) == m.n_states and order == list(range(m.n_states)):
         return m
 
     # representative of each block = first member in BFS order
-    rep: dict[int, int] = {}
+    rep = [-1] * len(rows)
     for q in order:
-        rep.setdefault(block[q], q)
+        if rep[blocks[q]] < 0:
+            rep[blocks[q]] = q
 
-    # renumber blocks in BFS order from the initial block
-    renum: dict[int, int] = {block[m.initial]: 0}
-    bfs = deque([block[m.initial]])
+    # renumber blocks in BFS order from the initial block; the loop visits
+    # the blocks appended behind it, so each block's rows land at its new id
+    renum = [-1] * len(rows)
+    renum[blocks[m.initial]] = 0
+    bfs = [blocks[m.initial]]
     new_trans: list[tuple[int, ...]] = []
     new_emit: list[tuple[int, ...]] = []
-    # blocks leave the queue in the order they were numbered, so each
-    # block's rows are appended at its new id
-    while bfs:
-        q = rep[bfs.popleft()]
+    for b in bfs:
+        q = rep[b]
         succ = []
-        for a in range(ni):
-            tb = block[m.transitions[q][a]]
-            if tb not in renum:
-                renum[tb] = len(renum)
+        for t in trans[q]:
+            tb = blocks[t]
+            if renum[tb] < 0:
+                renum[tb] = len(bfs)
                 bfs.append(tb)
             succ.append(renum[tb])
         new_trans.append(tuple(succ))
-        new_emit.append(tuple(m.emissions[q]))
+        new_emit.append(emit[q])
     return MealyMachine(m.inputs, m.outputs, 0, tuple(new_trans), tuple(new_emit))
 
 

@@ -73,8 +73,8 @@ def language(tree: Union[MostRecentTree, MostFrequentTree]) -> set[Trace]:
     while stack:
         node, ins, outs = stack.pop()
         result.add(Trace(ins, outs))
-        for a, (child, o) in node.edges.items():
-            stack.append((child, ins + (a,), outs + (o,)))
+        for a, edge in node.items():
+            stack.append((edge[0], ins + (a,), outs + (edge[1],)))
     return result
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 
@@ -256,3 +256,80 @@ def test_incremental_disagreement_scan_is_exact(tree_cls, seed, n_outputs):
         if found is not None:
             assert machine.run(found.inputs) != found.outputs
             assert found in language(t)
+
+
+def _conflict_stream(seed: int, n_outputs: int) -> list[Trace]:
+    """Traces of a random machine, some with one output corrupted at the
+    trace's first, middle or last symbol."""
+    rng = random.Random(2000 + seed)
+    outputs = Alphabet(("x", "y", "z")[:n_outputs])
+    machine = random_machine(3, Alphabet(("a", "b")), outputs, seed=seed)
+    stream = []
+    for _ in range(80):
+        k = rng.randint(1, 6)
+        word = tuple(rng.randrange(2) for _ in range(k))
+        outs = list(machine.run(word))
+        at = rng.choice((None, None, 0, k // 2, k - 1))
+        if at is not None:
+            outs[at] = (outs[at] + rng.randrange(1, n_outputs)) % n_outputs
+        stream.append(Trace(word, tuple(outs)))
+    return stream
+
+
+def _walk(t) -> Iterator[tuple[dict, Optional[dict], Trace]]:
+    """(node, parked edges, path) for every node dict of the tree, reached
+    through selected and parked edges alike; lazily, so that a caller stops
+    a walk round a cycle at the first node it meets twice."""
+    stack = [(t.root, getattr(t, "_root_counts", None), (), ())]
+    while stack:
+        node, counts, ins, outs = stack.pop()
+        parked = counts.others if counts is not None else None
+        yield node, parked, Trace(ins, outs)
+        edges = list(node.items())
+        edges += [(a, edge) for (a, _), edge in (parked or {}).items()]
+        for a, edge in edges:
+            child_counts = edge[2] if len(edge) > 2 else None
+            stack.append((edge[0], child_counts, ins + (a,), outs + (edge[1],)))
+
+
+@pytest.mark.parametrize("tree_cls", [MostRecentTree, MostFrequentTree])
+@pytest.mark.parametrize("seed,n_outputs", _seeds(4))
+def test_updates_share_no_node(tree_cls, seed, n_outputs):
+    """Every node dict hangs on exactly one path, every leaf is an empty dict
+    at the end of an observed trace, and no parked edge is also selected."""
+    stream = _conflict_stream(seed, n_outputs)
+    t = tree_cls()
+    conflicts_seen = 0
+    for k, obs in enumerate(stream):
+        conflicts_seen += t.update(obs)
+        paths: dict[int, Trace] = {}
+        for node, parked, path in _walk(t):
+            assert type(node) is dict
+            assert id(node) not in paths, f"{path} and {paths[id(node)]} share a node"
+            paths[id(node)] = path
+            if not node:
+                assert not parked
+                assert path in stream[: k + 1]
+            for (a, o), edge in (parked or {}).items():
+                assert edge[1] == o
+                assert node[a] is not edge and node[a][1] != o
+    assert conflicts_seen > 0
+
+
+@pytest.mark.parametrize("tree_cls", [MostRecentTree, MostFrequentTree])
+def test_disagreement_scan_returns_the_pinned_trace(tree_cls):
+    """The scan checks a node's edges in insertion order before it descends,
+    and descends into the last-inserted child first; every seeded run's
+    result depends on which mismatching trace it returns."""
+    zeros = MealyMachine(
+        Alphabet(("a", "b", "c")), Alphabet(("x", "y")), 0, ((0, 0, 0),), ((0, 0, 0),)
+    )
+    t = tree_cls()
+    t.update(tr("01", "01"))  # branch a: a mismatch at depth 2
+    t.update(tr("12", "00"))  # branch b: agrees for now, ...
+    t.update(tr("10", "01"))  # ... a second edge mismatches, ...
+    t.update(tr("12", "01"))  # ... and the first edge, overwritten, keeps its slot
+    t.update(tr("200", "000"))  # branch c: agrees
+    assert t.find_disagreement(zeros) == tr("12", "01")
+    t.update(tr("200", "001"))  # branch c: a mismatch at depth 3
+    assert t.find_disagreement(zeros) == tr("200", "001")
