@@ -149,26 +149,28 @@ class PreparedSampler:
 
     def __init__(self, m: MealyMachine, cfg: SamplerConfig) -> None:
         self.cfg = cfg
+        self.stop = 1.0 / (1.0 + cfg.mean_infix)
         self.n_inputs = len(m.inputs)
         acc = access_sequences(m)
         self.accesses = tuple(acc[q] for q in range(m.n_states))
         self.suffixes = characterization_set(m)
 
     def draw(self, rng: random.Random) -> Word:
-        access = self.accesses[randbelow(rng, len(self.accesses))]
-        stop = 1.0 / (1.0 + self.cfg.mean_infix)
-        uniform, limit = rng.random, self.cfg.max_len
+        word = self.accesses[randbelow(rng, len(self.accesses))]
+        uniform, stop, limit = rng.random, self.stop, self.cfg.max_len
         k = 0
         while uniform() >= stop and k < limit:
             k += 1
-        # randbelow(rng, n) inlined, as it runs once per infix symbol
-        n = self.n_inputs
-        bits, width = rng.getrandbits, n.bit_length()
-        infix = []
-        for _ in range(k):
-            r = bits(width)
-            while r >= n:
+        if k:
+            # randbelow(rng, n) inlined, as it runs once per infix symbol
+            n = self.n_inputs
+            bits, width = rng.getrandbits, n.bit_length()
+            infix = []
+            for _ in range(k):
                 r = bits(width)
-            infix.append(r)
-        suffix = self.suffixes[randbelow(rng, len(self.suffixes))]
-        return (access + tuple(infix) + suffix)[:limit]
+                while r >= n:
+                    r = bits(width)
+                infix.append(r)
+            word += tuple(infix)
+        word += self.suffixes[randbelow(rng, len(self.suffixes))]
+        return word if len(word) <= limit else word[:limit]

@@ -157,18 +157,24 @@ class Reviser:
         returned at no test cost; without tree_check the tree is never
         scanned. A conflict raises as in apply. Returns a tree-confirmed
         counterexample trace on disagreement, and None once k_survive
-        consecutive voted words produced neither.
+        consecutive voted words produced neither. A MostRecentTree holds
+        every trace its update accepts, so its answer is the voted word; a
+        MostFrequentTree is read back, as a heavier stored branch may keep
+        the selection.
         """
         if self.tree_check:
             found = self.check(h)
             if found is not None:
                 return found
         sampler = PreparedSampler(self.log.canonical(h), self.sampler_cfg)
+        read_back = isinstance(self.tree, MostFrequentTree)
         survived = 0
         while survived < self.k_survive:
             word = sampler.draw(self.rng)
-            self.apply(Trace(word, sul.majority_query(self.system, word, self.policy, "eq")))
-            confirmed = self.tree.lookup(word)
+            voted = sul.majority_query(self.system, word, self.policy, "eq")
+            confirmed = self.apply(Trace(word, voted))
+            if read_back:
+                confirmed = self.tree.lookup(word)
             if confirmed is not None and h.run(word) != confirmed:
                 return Trace(word, confirmed)
             survived += 1

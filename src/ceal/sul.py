@@ -1,11 +1,13 @@
 """Simulated system under learning: noise injection, metering, majority voting.
 
 A SimulatedSystem wraps a hidden target machine. Every probe executes one
-reset + one input word and is charged to a meter; noise perturbs either the
-input word before execution or the output word after it, one symbol at a
-time. Noisy replacement draws uniformly from the full alphabet, so a drawn
-symbol may equal the original; the effective flip rate per symbol is
-rate * (n - 1) / n for an alphabet of size n.
+reset + one input word and charges it to the system's meter; noise perturbs
+either the input word before execution or the output word after it, one
+symbol at a time. NoiseModel.perturb draws input noise; the probe draws
+output noise itself, with the same draws, since under output noise every
+probe draws once per symbol. Noisy replacement draws uniformly from the
+full alphabet, so a drawn symbol may equal the original; the effective
+flip rate per symbol is rate * (n - 1) / n for an alphabet of size n.
 
 The noise stream is fixed per symbol: for each symbol in order, one
 ``random()`` draw, then one bounded draw below n only when it hits. A
@@ -100,20 +102,12 @@ class TestMeter:
     """Monotone interaction counters; symbols = eq_symbols + mq_symbols."""
 
     tests: int = 0
-    symbols: int = 0
     eq_symbols: int = 0
     mq_symbols: int = 0
 
-    def charge(self, n_symbols: int, phase: str) -> None:
-        """Count one test of n_symbols; an unknown phase raises and counts nothing."""
-        if phase == "eq":
-            self.eq_symbols += n_symbols
-        elif phase == "mq":
-            self.mq_symbols += n_symbols
-        else:
-            raise ValueError(f"unknown meter phase {phase!r}")
-        self.tests += 1
-        self.symbols += n_symbols
+    @property
+    def symbols(self) -> int:
+        return self.eq_symbols + self.mq_symbols
 
 
 @dataclass(frozen=True)
@@ -154,8 +148,14 @@ class SimulatedSystem:
         self._memo_outputs: Word = ()
 
     def probe(self, word: Word, phase: str = "mq") -> Word:
-        """One reset + one word on the system; returns the outputs as observed."""
-        if self.max_tests is not None and self.meter.tests >= self.max_tests:
+        """One reset + one word on the system; returns the outputs as observed.
+
+        An unknown phase raises before anything is drawn, run or counted.
+        """
+        if phase != "mq" and phase != "eq":
+            raise ValueError(f"unknown meter phase {phase!r}")
+        meter = self.meter
+        if self.max_tests is not None and meter.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
         executed = noise.perturb(word, self._n_inputs) if noise.kind == "input" else word
@@ -165,10 +165,30 @@ class SimulatedSystem:
             outputs = self._target.run(executed)
             if executed is word:
                 self._memo_word, self._memo_outputs = word, outputs
-        self.meter.charge(len(executed), phase)
-        if noise.kind == "output":
-            return noise.perturb(outputs, self._n_outputs)
-        return outputs
+        meter.tests += 1
+        if phase == "mq":
+            meter.mq_symbols += len(word)
+        else:
+            meter.eq_symbols += len(word)
+        rate = noise.rate
+        if noise.kind != "output" or rate == 0.0:
+            return outputs
+        # NoiseModel.perturb inlined, with randbelow inlined on each hit, as
+        # every probe under output noise draws once per symbol
+        rng = noise.rng
+        uniform = rng.random
+        out = None
+        for i in range(len(outputs)):
+            if uniform() < rate:
+                if out is None:
+                    out = list(outputs)
+                n = self._n_outputs
+                width = n.bit_length()
+                r = rng.getrandbits(width)
+                while r >= n:
+                    r = rng.getrandbits(width)
+                out[i] = r
+        return outputs if out is None else tuple(out)
 
 
 def majority_query(

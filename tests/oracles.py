@@ -319,6 +319,8 @@ class ReferenceSystem:
         self.max_tests = max_tests
 
     def probe(self, word: Word, phase: str = "mq") -> Trace:
+        if phase not in ("mq", "eq"):
+            raise ValueError(f"unknown meter phase {phase!r}")
         if self.max_tests is not None and self.meter.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
@@ -333,7 +335,12 @@ class ReferenceSystem:
         else:
             executed = word
             outputs = self.target.run(word)
-        self.meter.charge(len(executed), phase)
+        meter = self.meter
+        meter.tests += 1
+        if phase == "eq":
+            meter.eq_symbols += len(executed)
+        else:
+            meter.mq_symbols += len(executed)
         return Trace(executed, outputs)
 
 

@@ -17,7 +17,6 @@ from ceal.sul import (
     SimulatedSystem,
     majority_query,
 )
-from ceal.sul import TestMeter as Meter
 from oracles import ReferenceSystem, reference_majority_query
 
 
@@ -47,20 +46,26 @@ def test_meter_phase_attribution(toggle):
     assert m.symbols == m.mq_symbols + m.eq_symbols
 
 
-def test_unknown_phase_raises_and_counts_nothing(toggle):
-    sys = SimulatedSystem(toggle, quiet("output", 0.5, seed=1))
-    sys.probe((0, 0), phase="eq")
-    before = replace(sys.meter)
-    with pytest.raises(ValueError):
-        sys.probe((0,), phase="bogus")
-    assert sys.meter == before
-    with pytest.raises(ValueError):
-        sys.meter.charge(3, "bogus")
-    assert sys.meter == before
-    fresh = Meter()
-    with pytest.raises(ValueError):
-        fresh.charge(3, "bogus")
-    assert fresh == Meter()
+def test_unknown_phase_raises_and_counts_nothing(monkeypatch, toggle):
+    runs = []
+    real_run = MealyMachine.run
+    monkeypatch.setattr(
+        MealyMachine, "run", lambda self, w, start=None: runs.append(w) or real_run(self, w, start)
+    )
+    for kind in ("input", "output"):
+        sys = SimulatedSystem(toggle, quiet(kind, 0.5, seed=1))
+        sys.probe((0, 0), phase="eq")
+        before = replace(sys.meter)
+        state = sys.noise.rng.getstate()
+        memo = (sys._memo_word, sys._memo_outputs)
+        runs.clear()
+        with pytest.raises(ValueError):
+            sys.probe((0,), phase="bogus")
+        # nothing was drawn, run, memoized or counted
+        assert sys.noise.rng.getstate() == state
+        assert runs == []
+        assert (sys._memo_word, sys._memo_outputs) == memo
+        assert sys.meter == before
 
 
 def test_budget_exhausted_before_excess_probe(toggle):
