@@ -32,7 +32,6 @@ from .sul import (
     NoiseModel,
     RepeatPolicy,
     SimulatedSystem,
-    TestMeter,
     majority_query,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "RunResult",
     "SamplerConfig",
     "SimulatedSystem",
-    "TestMeter",
     "Trace",
     "Word",
     "canonical_fingerprint",

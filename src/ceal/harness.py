@@ -156,8 +156,9 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
     one handler decides what it means: ceal counts a prune and restarts
     the learner, and MAT (a Reviser without tree check, on a most_recent
     tree) ends the run unjudged as "collapse". The tree, the hypothesis
-    log and the meter persist across restarts; the final model is selected
-    from that log per cfg.selection, or is the latest hypothesis under MAT.
+    log, the system's test and symbol counts and the Reviser's eq_symbols
+    persist across restarts; the final model is selected from that log
+    per cfg.selection, or is the latest hypothesis under MAT.
     An InconsistentTeacher from the learner propagates. Hitting the query
     cap ends the run, and the final model is still judged.
     """
@@ -206,10 +207,11 @@ def run(cfg: ExperimentConfig, seed: int, target: Optional[MealyMachine] = None)
         and final is not None
         and find_counterexample(final, target) is None
     )
-    meter = system.meter
-    fraction = meter.eq_symbols / meter.symbols if meter.symbols else 0.0
+    fraction = reviser.eq_symbols / system.symbols if system.symbols else 0.0
     states = final.n_states if final is not None else 0
-    return RunResult(success, meter.tests, meter.symbols, fraction, states, prunes, terminated_by)
+    return RunResult(
+        success, system.tests, system.symbols, fraction, states, prunes, terminated_by
+    )
 
 
 def _mean(values: Sequence[float]) -> float:

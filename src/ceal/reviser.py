@@ -99,7 +99,8 @@ class Reviser:
     tree check, so every counterexample costs system tests, as with a
     classical teacher. A Reviser serves one session: log holds every
     hypothesis eq was asked about, and test prepares its sampler from the
-    log's canonical minimal machine.
+    log's canonical minimal machine. The system counts every test and
+    symbol; eq_symbols counts the symbols that test spent.
     """
 
     def __init__(
@@ -122,6 +123,7 @@ class Reviser:
         self.k_survive = k_survive
         self.tree_check = tree_check
         self.log = HypothesisLog()
+        self.eq_symbols = 0
 
     def apply(self, trace: Trace) -> Word:
         """Integrate one trace and return its outputs.
@@ -141,7 +143,7 @@ class Reviser:
         if stored is not None:
             return stored
         # via the module, where perfbench/tracer.py wraps majority_query
-        return self.apply(Trace(word, sul.majority_query(self.system, word, self.policy, "mq")))
+        return self.apply(Trace(word, sul.majority_query(self.system, word, self.policy)))
 
     def check(self, h: MealyMachine) -> Optional[Trace]:
         """Scan the whole tree for a stored trace the hypothesis mislabels.
@@ -160,7 +162,8 @@ class Reviser:
         consecutive voted words produced neither. A MostRecentTree holds
         every trace its update accepts, so its answer is the voted word; a
         MostFrequentTree is read back, as a heavier stored branch may keep
-        the selection.
+        the selection. Every symbol the system spends during the call adds
+        to eq_symbols, also when a conflict or BudgetExhausted cuts it short.
         """
         if self.tree_check:
             found = self.check(h)
@@ -169,16 +172,20 @@ class Reviser:
         sampler = PreparedSampler(self.log.canonical(h), self.sampler_cfg)
         read_back = isinstance(self.tree, MostFrequentTree)
         survived = 0
-        while survived < self.k_survive:
-            word = sampler.draw(self.rng)
-            voted = sul.majority_query(self.system, word, self.policy, "eq")
-            confirmed = self.apply(Trace(word, voted))
-            if read_back:
-                confirmed = self.tree.lookup(word)
-            if confirmed is not None and h.run(word) != confirmed:
-                return Trace(word, confirmed)
-            survived += 1
-        return None
+        spent_before = self.system.symbols
+        try:
+            while survived < self.k_survive:
+                word = sampler.draw(self.rng)
+                voted = sul.majority_query(self.system, word, self.policy)
+                confirmed = self.apply(Trace(word, voted))
+                if read_back:
+                    confirmed = self.tree.lookup(word)
+                if confirmed is not None and h.run(word) != confirmed:
+                    return Trace(word, confirmed)
+                survived += 1
+            return None
+        finally:
+            self.eq_symbols += self.system.symbols - spent_before
 
     def eq(self, h: MealyMachine) -> Optional[Trace]:
         """Equivalence query: record h in the log, then test it.

@@ -1,11 +1,11 @@
-"""Simulated system under learning: noise injection, metering, majority voting.
+"""Simulated system under learning: noise injection, test counting, majority voting.
 
 A SimulatedSystem wraps a hidden target machine. Every probe executes one
-reset + one input word and charges it to the system's meter; noise perturbs
-either the input word before execution or the output word after it, one
-symbol at a time. NoiseModel.perturb draws input noise; the probe draws
-output noise itself, with the same draws, since under output noise every
-probe draws once per symbol. Noisy replacement draws uniformly from the
+reset + one input word and counts one test and the word's symbols; noise
+perturbs either the input word before execution or the output word after
+it, one symbol at a time. NoiseModel.perturb draws input noise; the probe
+draws output noise itself, with the same draws, since under output noise
+every probe draws once per symbol. Noisy replacement draws uniformly from the
 full alphabet, so a drawn symbol may equal the original; the effective
 flip rate per symbol is rate * (n - 1) / n for an alphabet of size n.
 
@@ -30,7 +30,9 @@ when the system's target is replaced.
 
 majority_query votes one word under a RepeatPolicy, stopping once one
 output word holds four fifths of the votes; the Reviser asks the system
-every word it needs through it.
+every word it needs through it. The system does not know which query a
+word serves: it counts tests and symbols, and the Reviser counts the
+symbols its equivalence tests spent.
 """
 
 from __future__ import annotations
@@ -97,19 +99,6 @@ class NoiseModel:
         return word if out is None else tuple(out)
 
 
-@dataclass
-class TestMeter:
-    """Monotone interaction counters; symbols = eq_symbols + mq_symbols."""
-
-    tests: int = 0
-    eq_symbols: int = 0
-    mq_symbols: int = 0
-
-    @property
-    def symbols(self) -> int:
-        return self.eq_symbols + self.mq_symbols
-
-
 @dataclass(frozen=True)
 class RepeatPolicy:
     """Voting discipline for answering one query over a noisy system."""
@@ -123,14 +112,19 @@ class RepeatPolicy:
 
 
 class SimulatedSystem:
-    """The only gateway to the target; every interaction is metered here."""
+    """The only gateway to the target; every interaction is counted here.
+
+    tests counts probes and symbols their input symbols, whichever query
+    asked for them; max_tests, when set, bounds tests.
+    """
 
     def __init__(
         self, target: MealyMachine, noise: NoiseModel, max_tests: Optional[int] = None
     ) -> None:
         self.target = target
         self.noise = noise
-        self.meter = TestMeter()
+        self.tests = 0
+        self.symbols = 0
         self.max_tests = max_tests
 
     @property
@@ -147,15 +141,13 @@ class SimulatedSystem:
         self._memo_word: Word = ()
         self._memo_outputs: Word = ()
 
-    def probe(self, word: Word, phase: str = "mq") -> Word:
+    def probe(self, word: Word) -> Word:
         """One reset + one word on the system; returns the outputs as observed.
 
-        An unknown phase raises before anything is drawn, run or counted.
+        A probe past max_tests raises BudgetExhausted before anything is
+        drawn, run or counted.
         """
-        if phase != "mq" and phase != "eq":
-            raise ValueError(f"unknown meter phase {phase!r}")
-        meter = self.meter
-        if self.max_tests is not None and meter.tests >= self.max_tests:
+        if self.max_tests is not None and self.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
         executed = noise.perturb(word, self._n_inputs) if noise.kind == "input" else word
@@ -165,11 +157,8 @@ class SimulatedSystem:
             outputs = self._target.run(executed)
             if executed is word:
                 self._memo_word, self._memo_outputs = word, outputs
-        meter.tests += 1
-        if phase == "mq":
-            meter.mq_symbols += len(word)
-        else:
-            meter.eq_symbols += len(word)
+        self.tests += 1
+        self.symbols += len(word)
         rate = noise.rate
         if noise.kind != "output" or rate == 0.0:
             return outputs
@@ -191,24 +180,20 @@ class SimulatedSystem:
         return outputs if out is None else tuple(out)
 
 
-def majority_query(
-    system: SimulatedSystem,
-    word: Word,
-    policy: RepeatPolicy,
-    phase: str = "mq",
-) -> Word:
+def majority_query(system: SimulatedSystem, word: Word, policy: RepeatPolicy) -> Word:
     """Vote the same word repeatedly; return the agreed or plurality output.
 
     Stops as soon as one output word holds at least four fifths of all
     votes so far (checked from min_repeats on); four fifths is a strict
     majority, so that word is unique. At max_repeats the plurality wins,
-    ties going to the lexicographically least output word.
+    ties going to the lexicographically least output word. Every vote is
+    one probe, counted by the system.
     """
     probe = system.probe
-    first = probe(word, phase)
+    first = probe(word)
     agreed = 1
     while agreed < policy.min_repeats:
-        out = probe(word, phase)
+        out = probe(word)
         if out is not first and out != first:
             break
         agreed += 1
@@ -222,7 +207,7 @@ def majority_query(
                 return next(w for w, n in votes.items() if n == best_n)
             if total >= policy.max_repeats:
                 return min(w for w, n in votes.items() if n == best_n)
-        out = probe(word, phase)
+        out = probe(word)
         n = votes[out] = votes.get(out, 0) + 1
         if n > best_n:
             best_n = n

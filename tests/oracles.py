@@ -45,7 +45,6 @@ from ceal.sul import (
     NoiseModel,
     RepeatPolicy,
     SimulatedSystem,
-    TestMeter,
     majority_query,
 )
 
@@ -315,13 +314,12 @@ class ReferenceSystem:
     ) -> None:
         self.target = target
         self.noise = noise
-        self.meter = TestMeter()
+        self.tests = 0
+        self.symbols = 0
         self.max_tests = max_tests
 
-    def probe(self, word: Word, phase: str = "mq") -> Trace:
-        if phase not in ("mq", "eq"):
-            raise ValueError(f"unknown meter phase {phase!r}")
-        if self.max_tests is not None and self.meter.tests >= self.max_tests:
+    def probe(self, word: Word) -> Trace:
+        if self.max_tests is not None and self.tests >= self.max_tests:
             raise BudgetExhausted(f"test budget of {self.max_tests} spent")
         noise = self.noise
         if noise.kind == "input":
@@ -335,18 +333,12 @@ class ReferenceSystem:
         else:
             executed = word
             outputs = self.target.run(word)
-        meter = self.meter
-        meter.tests += 1
-        if phase == "eq":
-            meter.eq_symbols += len(executed)
-        else:
-            meter.mq_symbols += len(executed)
+        self.tests += 1
+        self.symbols += len(executed)
         return Trace(executed, outputs)
 
 
-def reference_majority_query(
-    system, word: Word, policy: RepeatPolicy, phase: str = "mq"
-) -> Word:
+def reference_majority_query(system, word: Word, policy: RepeatPolicy) -> Word:
     """Vote by recounting the whole tally after every probe.
 
     Spells the four-fifths rule as a float share with slack, where
@@ -354,7 +346,7 @@ def reference_majority_query(
     """
     votes: Counter[Word] = Counter()
     for _ in range(policy.min_repeats):
-        votes[system.probe(word, phase).outputs] += 1
+        votes[system.probe(word).outputs] += 1
     while True:
         total = sum(votes.values())
         best_n = max(votes.values())
@@ -363,7 +355,7 @@ def reference_majority_query(
             return winners[0]
         if total >= policy.max_repeats:
             return min(winners)
-        votes[system.probe(word, phase).outputs] += 1
+        votes[system.probe(word).outputs] += 1
 
 
 class ReferenceLStarLearner(Learner):
@@ -579,8 +571,10 @@ def reference_run_mat(cfg: ExperimentConfig, seed: int, target: MealyMachine) ->
     """One classical session: majority-voted queries with an answer cache.
 
     Membership answers are voted once and cached; equivalence testing
-    samples words and votes each one directly against the system. Any
-    voted answer that contradicts the cache collapses the run, unjudged.
+    samples words and votes each one directly against the system, counting
+    each vote's symbols as equivalence symbols, also of a vote the budget
+    cuts short. Any voted answer that contradicts the cache collapses the
+    run, unjudged.
     """
     system = SimulatedSystem(
         target,
@@ -589,6 +583,7 @@ def reference_run_mat(cfg: ExperimentConfig, seed: int, target: MealyMachine) ->
     )
     cache = MostRecentTree()
     sampler_rng = random.Random(f"{seed}:sampler")
+    eq_symbols = 0
 
     def commit(trace: Trace) -> None:
         if cache.update(trace):
@@ -598,15 +593,20 @@ def reference_run_mat(cfg: ExperimentConfig, seed: int, target: MealyMachine) ->
         stored = cache.lookup(word)
         if stored is not None:
             return stored
-        outputs = majority_query(system, word, cfg.repeats, phase="mq")
+        outputs = majority_query(system, word, cfg.repeats)
         commit(Trace(word, outputs))
         return outputs
 
     def sampled_eq(h: MealyMachine) -> Optional[Trace]:
+        nonlocal eq_symbols
         sampler = PreparedSampler(minimize(h), cfg.sampler)
         for _ in range(cfg.k_survive):
             word = sampler.draw(sampler_rng)
-            outputs = majority_query(system, word, cfg.repeats, phase="eq")
+            before = system.symbols
+            try:
+                outputs = majority_query(system, word, cfg.repeats)
+            finally:
+                eq_symbols += system.symbols - before
             commit(Trace(word, outputs))
             if h.run(word) != outputs:
                 return Trace(word, outputs)
@@ -630,8 +630,7 @@ def reference_run_mat(cfg: ExperimentConfig, seed: int, target: MealyMachine) ->
     except (_MatCollapse, InconsistentTeacher):
         terminated_by = "collapse"
         judged = False
-    meter = system.meter
     success = judged and last is not None and find_counterexample(last, target) is None
-    fraction = meter.eq_symbols / meter.symbols if meter.symbols else 0.0
+    fraction = eq_symbols / system.symbols if system.symbols else 0.0
     states = last.n_states if last is not None else 0
-    return RunResult(success, meter.tests, meter.symbols, fraction, states, 0, terminated_by)
+    return RunResult(success, system.tests, system.symbols, fraction, states, 0, terminated_by)

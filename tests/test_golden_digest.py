@@ -2,7 +2,7 @@
 
 The first digest covers every noise kind, both frameworks and both learners
 on a small voted grid, so a change to the probe, noise or voting path that
-moves any RNG draw, meter count or verdict shows up here. It runs only the
+moves any RNG draw, test count or verdict shows up here. It runs only the
 default most_recent tree; the second digest covers the most_frequent tree.
 """
 

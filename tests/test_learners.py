@@ -218,11 +218,11 @@ def test_restarted_learner_rebuilds_from_tree_for_free(learner_cls):
         assert isinstance(verdict, Trace)
         learner.refine(verdict)
     assert find_counterexample(h, target) is None
-    spent = system.meter.tests
+    spent = system.tests
     learner.restart()
     rebuilt = learner.build_hypothesis()
     # the fresh build re-asks exactly its old queries; the tree held them all
-    assert system.meter.tests == spent
+    assert system.tests == spent
     assert canonical_fingerprint(rebuilt) == first_fp
 
 

@@ -1,10 +1,11 @@
-"""The README's library example runs as written against the current API."""
+"""The README's library example runs as written, and every exported name resolves."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
+import ceal
 from ceal.mealy import find_counterexample
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,3 +21,7 @@ def test_readme_python_example_runs(monkeypatch, capsys):
     assert "RunResult(" in capsys.readouterr().out
     # the hand-wired loop over a noise-free system learns the target exactly
     assert find_counterexample(namespace["final"], namespace["target"]) is None
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in ceal.__all__ if not hasattr(ceal, name)] == []

@@ -13,7 +13,7 @@ from ceal.learners import InconsistentTeacher, PruneRequested
 from ceal.mealy import MealyMachine, Trace, canonical_fingerprint, minimize
 from ceal.obstree import MostFrequentTree, MostRecentTree
 from ceal.reviser import HypothesisLog, Reviser, select_final
-from ceal.sul import NoiseModel, RepeatPolicy, SimulatedSystem
+from ceal.sul import BudgetExhausted, NoiseModel, RepeatPolicy, SimulatedSystem
 from oracles import ReferenceHypothesisLog
 
 
@@ -45,14 +45,12 @@ def count_prunes(action):
 
 
 class ScriptedSystem:
-    """Probe stub with a fixed (word -> outputs) plan and a meter-free life."""
+    """Probe stub answering with a fixed sequence of outputs, counting nothing."""
 
     def __init__(self, plan):
         self.plan = list(plan)
-        self.probed = []
 
-    def probe(self, word, phase="mq"):
-        self.probed.append((tuple(word), phase))
+    def probe(self, word):
         return tuple(self.plan.pop(0))
 
 
@@ -75,16 +73,15 @@ def test_read_answers_from_tree_without_probing(toggle):
     r.apply(Trace((0, 0), (0, 1)))
     assert r.read((0, 0)) == (0, 1)
     assert r.read((0,)) == (0,)  # prefix answered by the same branch
-    assert r.system.meter.tests == 0
+    assert r.system.tests == 0
 
 
 def test_read_unknown_word_probes_once_then_caches(toggle):
     r = make_reviser(toggle)
     assert r.read((0, 0, 0)) == (0, 1, 0)
-    assert r.system.meter.tests == 1
+    assert r.system.tests == 1
     assert r.read((0, 0, 0)) == (0, 1, 0)
-    assert r.system.meter.tests == 1
-    assert r.system.meter.mq_symbols == 3
+    assert (r.system.tests, r.system.symbols, r.eq_symbols) == (1, 3, 0)
 
 
 def test_read_votes_under_the_policy_and_stores_one_trace(toggle):
@@ -99,21 +96,48 @@ def test_read_votes_under_the_policy_and_stores_one_trace(toggle):
     tree.update = spy_update
     r = make_reviser(toggle, tree=tree, policy=RepeatPolicy(5, 10))
     assert r.read((0, 0, 0)) == (0, 1, 0)
-    m = r.system.meter
-    assert (m.tests, m.mq_symbols, m.eq_symbols) == (5, 15, 0)  # unanimous at min_repeats
+    # unanimous at min_repeats, and a read is no equivalence test
+    assert (r.system.tests, r.system.symbols, r.eq_symbols) == (5, 15, 0)
     assert updates == [Trace((0, 0, 0), (0, 1, 0))]
 
 
-def test_test_votes_are_charged_to_eq_symbols(toggle):
-    r = make_reviser(toggle, k_survive=4, policy=RepeatPolicy(5, 10))
-    assert r.test(toggle) is None
-    sampler = PreparedSampler(minimize(toggle), r.sampler_cfg)
+def spent_by_test(r, h, stop=None):
+    """Symbols the system spends during r.test(h), which raises stop if one is given."""
+    before = r.system.symbols
+    if stop is None:
+        r.test(h)
+    else:
+        with pytest.raises(stop):
+            r.test(h)
+    return r.system.symbols - before
+
+
+def test_test_votes_are_charged_to_eq_symbols(toggle, constant_x):
+    # a read first, then a test that survives, one the budget stops on the
+    # third probe of its third vote, and one a conflict stops: each test
+    # charges eq_symbols exactly what the system spent during the call
+    sampler = PreparedSampler(minimize(toggle), SamplerConfig(mean_infix=2.0, max_len=30))
     rng = random.Random("0:sampler")
-    drawn = [sampler.draw(rng) for _ in range(4)]
-    m = r.system.meter
-    assert m.tests == 5 * 4
-    assert m.eq_symbols == m.symbols == 5 * sum(map(len, drawn))
-    assert m.mq_symbols == 0
+    lengths = [len(sampler.draw(rng)) for _ in range(4)]
+    policy = RepeatPolicy(5, 10)
+
+    r = make_reviser(toggle, k_survive=4, policy=policy)
+    r.read((0, 0, 0))
+    assert (r.system.tests, r.system.symbols, r.eq_symbols) == (5, 15, 0)
+    assert spent_by_test(r, toggle) == r.eq_symbols == 5 * sum(lengths)
+    assert r.system.tests == 5 + 5 * 4
+
+    r = make_reviser(toggle, k_survive=4, policy=policy, max_tests=5 + 5 * 2 + 2)
+    r.read((0, 0, 0))
+    assert r.eq_symbols == 0
+    spent = spent_by_test(r, toggle, BudgetExhausted)
+    assert spent == r.eq_symbols == 5 * (lengths[0] + lengths[1]) + 2 * lengths[2]
+
+    r = make_reviser(toggle, k_survive=50, policy=policy)
+    r.read((0, 0, 0))
+    assert r.eq_symbols == 0
+    r.system.target = constant_x  # answers (0, 0) where the tree holds (0, 1)
+    assert spent_by_test(r, toggle, PruneRequested) == r.eq_symbols > 0
 
 
 @pytest.mark.parametrize(
@@ -161,7 +185,7 @@ def test_check_is_free_and_exact(toggle, constant_x):
     found = r.check(constant_x)
     assert found == Trace((0, 0), (0, 1))  # shortest stored witness
     assert constant_x.run(found.inputs) != found.outputs
-    assert r.system.meter.tests == 0
+    assert r.system.tests == 0
 
 
 def test_check_empty_tree_accepts_anything(toggle, constant_x):
@@ -186,7 +210,7 @@ def test_test_rejects_incoherent_hypothesis(toggle, constant_x):
     r.apply(Trace((0, 0), (0, 1)))  # already contradicts constant_x
     # the tree's own counterexample, before any sampled test
     assert r.test(constant_x) == r.check(constant_x) == Trace((0, 0), (0, 1))
-    assert r.system.meter.tests == 0
+    assert r.system.tests == 0
 
 
 def test_eq_scans_the_tree_once(toggle, monkeypatch):
@@ -209,16 +233,14 @@ def test_test_survival_costs_exactly_k_tests(toggle):
     probes = []
     real_probe = r.system.probe
 
-    def spy(word, phase="mq"):
+    def spy(word):
         probes.append(tuple(word))
-        return real_probe(word, phase)
+        return real_probe(word)
 
     r.system.probe = spy
     assert r.test(toggle) is None
-    m = r.system.meter
-    assert m.tests == 50
-    assert m.symbols == m.eq_symbols > 0
-    assert m.mq_symbols == 0
+    assert r.system.tests == 50
+    assert r.system.symbols == r.eq_symbols > 0
     # every tested word is the sampler's next draw, from the reviser's stream
     sampler = PreparedSampler(minimize(toggle), r.sampler_cfg)
     rng = random.Random("0:sampler")
@@ -237,7 +259,9 @@ def test_test_finds_counterexample_against_wrong_hypothesis(toggle, constant_x):
 class AllOnesSystem:
     """Stub answering every probe with all-ones output, whatever the length."""
 
-    def probe(self, word, phase="mq"):
+    symbols = 0  # Reviser.test reads it; the stub counts nothing
+
+    def probe(self, word):
         return tuple(1 for _ in word)
 
 
@@ -253,7 +277,7 @@ def test_eq_records_before_answering(toggle, constant_x):
     r.apply(Trace((0, 0), (0, 1)))
     found = r.eq(constant_x)
     assert isinstance(found, Trace)
-    assert r.system.meter.tests == 0  # the tree already refuted it
+    assert r.system.tests == 0  # the tree already refuted it
     assert sum(r.log.counts.values()) == 1 and r.log.latest is constant_x
 
 
@@ -279,7 +303,7 @@ def test_eq_minimizes_each_hypothesis_once(toggle, monkeypatch):
     monkeypatch.setattr("ceal.eqtest.minimize", counting)
     r = make_reviser(toggle, k_survive=30)
     assert r.eq(relabeled) is None
-    assert r.system.meter.tests == 30
+    assert r.system.tests == 30
     # the fingerprint's minimization is reused by the sampler
     assert calls == [relabeled]
 
@@ -347,8 +371,8 @@ def test_collapse_eq_skips_the_tree_check(toggle, constant_x, monkeypatch):
     found = r.eq(constant_x)
     assert isinstance(found, Trace)
     assert constant_x.run(found.inputs) != found.outputs
-    assert r.system.meter.tests > 0  # paid for in sampled tests
-    assert r.system.meter.mq_symbols == 0
+    assert r.system.tests > 0  # paid for in sampled tests
+    assert r.eq_symbols == r.system.symbols
     assert r.log.latest is constant_x
 
 
@@ -458,8 +482,8 @@ def test_every_probe_is_integrated_before_any_answer(toggle, tree_cls):
     r = make_reviser(toggle, tree=tree, k_survive=10)
     real_probe = r.system.probe
 
-    def spy_probe(word, phase="mq"):
-        outputs = real_probe(word, phase)
+    def spy_probe(word):
+        outputs = real_probe(word)
         events.append(("probe", Trace(word, outputs)))
         return outputs
 

@@ -1,9 +1,8 @@
-"""Noise channel, metering, budget, and majority voting."""
+"""Noise channel, test counting, budget, and majority voting."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -32,40 +31,8 @@ def one_state(n_outputs: int) -> MealyMachine:
 def test_noise_free_probe_is_passthrough(toggle):
     sys = SimulatedSystem(toggle, quiet())
     assert sys.probe((0, 0, 0)) == (0, 1, 0)
-    assert sys.meter.tests == 1
-    assert sys.meter.symbols == 3
-
-
-def test_meter_phase_attribution(toggle):
-    sys = SimulatedSystem(toggle, quiet())
-    sys.probe((0,), phase="mq")
-    sys.probe((0, 0), phase="eq")
-    sys.probe((0, 0, 0), phase="eq")
-    m = sys.meter
-    assert (m.tests, m.symbols, m.mq_symbols, m.eq_symbols) == (3, 6, 1, 5)
-    assert m.symbols == m.mq_symbols + m.eq_symbols
-
-
-def test_unknown_phase_raises_and_counts_nothing(monkeypatch, toggle):
-    runs = []
-    real_run = MealyMachine.run
-    monkeypatch.setattr(
-        MealyMachine, "run", lambda self, w, start=None: runs.append(w) or real_run(self, w, start)
-    )
-    for kind in ("input", "output"):
-        sys = SimulatedSystem(toggle, quiet(kind, 0.5, seed=1))
-        sys.probe((0, 0), phase="eq")
-        before = replace(sys.meter)
-        state = sys.noise.rng.getstate()
-        memo = (sys._memo_word, sys._memo_outputs)
-        runs.clear()
-        with pytest.raises(ValueError):
-            sys.probe((0,), phase="bogus")
-        # nothing was drawn, run, memoized or counted
-        assert sys.noise.rng.getstate() == state
-        assert runs == []
-        assert (sys._memo_word, sys._memo_outputs) == memo
-        assert sys.meter == before
+    assert sys.tests == 1
+    assert sys.symbols == 3
 
 
 def test_budget_exhausted_before_excess_probe(toggle):
@@ -74,7 +41,7 @@ def test_budget_exhausted_before_excess_probe(toggle):
     sys.probe((0,))
     with pytest.raises(BudgetExhausted):
         sys.probe((0,))
-    assert sys.meter.tests == 2
+    assert sys.tests == 2
 
 
 def test_output_noise_flip_rate_matches_inclusive_uniform():
@@ -93,7 +60,7 @@ def test_input_noise_over_one_input_symbol_changes_nothing(toggle):
     sys = SimulatedSystem(toggle, quiet("input", 1.0, seed=7))
     # toggle has one input symbol, so every uniform redraw is the identity
     assert all(sys.probe((0, 0, 0)) == (0, 1, 0) for _ in range(200))
-    assert sys.meter.tests == 200
+    assert sys.tests == 200
 
 
 def test_input_noise_perturbs_with_two_symbols():
@@ -106,7 +73,7 @@ def test_input_noise_perturbs_with_two_symbols():
     answers = [sys.probe((0, 0)) for _ in range(150)]
     assert set(answers) <= possible
     assert len(set(answers)) > 1
-    assert sys.meter.symbols == 2 * len(answers)
+    assert sys.symbols == 2 * len(answers)
 
 
 def test_noise_identical_seed_identical_stream():
@@ -137,7 +104,7 @@ class ScriptedSystem:
         self.script = list(outputs)
         self.calls = 0
 
-    def probe(self, word, phase="mq"):
+    def probe(self, word):
         out = self.script[self.calls % len(self.script)]
         self.calls += 1
         return out
@@ -146,8 +113,8 @@ class ScriptedSystem:
 class ScriptedTraces(ScriptedSystem):
     """The same script, answered as traces, as the reference vote reads them."""
 
-    def probe(self, word, phase="mq"):
-        return Trace(word, super().probe(word, phase))
+    def probe(self, word):
+        return Trace(word, super().probe(word))
 
 
 def vote_both(script, policy):
@@ -176,7 +143,7 @@ def test_majority_unanimous_stops_at_min_repeats(toggle):
     sys = SimulatedSystem(toggle, quiet())
     out = majority_query(sys, (0, 0), RepeatPolicy(5, 10))
     assert out == (0, 1)
-    assert sys.meter.tests == 5
+    assert sys.tests == 5
 
 
 def test_majority_four_of_five_meets_threshold():
@@ -203,7 +170,7 @@ def test_majority_votes_spend_the_budget(toggle):
     majority_query(sys, (0,), RepeatPolicy(5, 10))
     with pytest.raises(BudgetExhausted):
         majority_query(sys, (0, 0), RepeatPolicy(5, 10))
-    assert sys.meter.tests == 7
+    assert sys.tests == 7
 
 
 def test_probe_memo_does_not_outlive_its_target(toggle, constant_x):
@@ -260,9 +227,9 @@ def _mid_vote_budget(target, kind, rate, policy, words) -> int:
     """A budget that runs out on the second probe of a vote past the 30th word."""
     dry = ReferenceSystem(target, NoiseModel.from_seed(kind, rate, 3))
     for k, word in enumerate(words):
-        before = dry.meter.tests
+        before = dry.tests
         reference_majority_query(dry, word, policy)
-        if k >= 30 and (dry.meter.tests - before > 1 or policy.max_repeats == 1):
+        if k >= 30 and (dry.tests - before > 1 or policy.max_repeats == 1):
             return before + 1
     raise AssertionError("no vote past the 30th word took two probes")
 
@@ -295,28 +262,27 @@ def test_vote_path_matches_reference_draw_for_draw(kind, rate, n_outputs, repeat
     probe_calls = [0]
     real_probe = new.probe
 
-    def counted_probe(word, phase="mq"):
+    def counted_probe(word):
         probe_calls[0] += 1
-        return real_probe(word, phase)
+        return real_probe(word)
 
     new.probe = counted_probe
-    for k, word in enumerate(words):
-        phase = "eq" if k % 3 == 0 else "mq"
-        tests_before = new.meter.tests
+    for word in words:
+        tests_before = new.tests
         results = []
         for system, vote in ((ref, reference_majority_query), (new, majority_query)):
             try:
-                results.append(vote(system, word, policy, phase))
+                results.append(vote(system, word, policy))
             except BudgetExhausted:
                 results.append(BudgetExhausted)
         assert results[0] == results[1]
-        assert ref.meter == new.meter
+        assert (ref.tests, ref.symbols) == (new.tests, new.symbols)
         assert ref.noise.rng.getstate() == new.noise.rng.getstate()
         if results[1] is BudgetExhausted:
             break
-        assert probe_calls[0] == new.meter.tests
+        assert probe_calls[0] == new.tests
     else:
         pytest.fail("the budget never ran out")
-    # the refused probe raised before it was charged, after part of a vote
-    assert new.meter.tests == budget and probe_calls[0] == budget + 1
+    # the refused probe raised before it was counted, after part of a vote
+    assert new.tests == budget and probe_calls[0] == budget + 1
     assert policy.max_repeats == 1 or tests_before < budget
